@@ -1,0 +1,108 @@
+"""Golden outputs: the SHA-256 of every output of a fixed set of runs.
+
+With BLAS pinned to one thread, runs at fixed seeds:
+
+- one coarse battery per preset (every preset, restarts 0, 1/4, 1/2 and
+  3/4 on 2^8 steps, 1000 replications), writing CSV, JSON and PLOTDATA;
+- the default seven-model battery at 1000 replications on 2^11 steps;
+- a few smallball queries;
+- raw continuation bytes of the presets whose REDRAW branch no preset
+  selects (`bns`, `comte_renault`, `regime`);
+
+into a temporary directory, and prints one `<sha256>  <file>` line per
+output, sorted by file name. A refactor that must keep its bytes runs this
+on the parent commit and on the change, on the same host, and compares the
+two listings; every line that differs names the output that changed.
+
+The script imports `cfslab` from the `src/` next to it, so a checkout of
+any commit can run its own copy.
+
+Usage:
+    python scripts/golden_outputs.py [--keep DIR]
+
+`--keep DIR` writes the outputs to DIR (which must exist) instead of a
+temporary directory, so that changed files can be compared row by row.
+"""
+import os
+
+# Pinned before numpy is imported: the fBm continuation's dense triangular
+# multiply rounds differently with more than one BLAS thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cfslab import catalog  # noqa: E402
+from cfslab.cli import main as cli_main  # noqa: E402
+from cfslab.core import RngStream, make_grid, tail_grid  # noqa: E402
+from cfslab.models import HkMode, iter_continuations, simulate  # noqa: E402
+
+SEED = 11
+COARSE = "t_fracs = 0.0,0.25,0.5,0.75\nn_steps = 256\n"
+# (model, epsilon, t_frac, extra config lines)
+SMALLBALL = (
+    ("brownian", 1.0, 0.0, "n_steps = 512\n"),
+    ("wiener_affine", 0.5, 0.5, "n_steps = 512\nstyle = ramp_up\namplitude = 0.3\n"),
+    ("exp_drift", 0.2, 0.0, "n_steps = 512\n"),
+    ("heston", 0.1, 0.5, "n_steps = 512\nstyle = zigzag\namplitude = 0.05\n"),
+    ("bridge", 0.5, 0.5, "n_steps = 512\n"),
+)
+
+
+def _run(argv: list[str], out: Path, config: str) -> None:
+    cfg = out / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main([argv[0], "--config", str(cfg), "--seed", str(SEED),
+                       "--out", str(out), *argv[1:]])
+    cfg.unlink()
+    if rc != 0:
+        raise SystemExit(f"cfslab {' '.join(argv)} exited with {rc}")
+
+
+def write_outputs(out: Path) -> None:
+    for name in catalog.preset_names():
+        _run(["battery", "--reps", "1000", "--format", "plotdata"], out,
+             f"models = {name}\n{COARSE}")
+    _run(["battery", "--reps", "1000", "--workers", "2"], out,
+         f"models = {','.join(catalog.DEFAULT_BATTERY)}\n")
+    for model, eps, t_frac, extra in SMALLBALL:
+        _run(["smallball", "--reps", "5000", "--model", model,
+              "--epsilon", str(eps), "--t-frac", str(t_frac)], out, extra)
+    grid = make_grid(0.0, 1.0, 256)
+    for name in ("bns", "comte_renault", "regime"):
+        spec = dataclasses.replace(catalog.get_preset(name),
+                                   hk_mode=HkMode.REDRAW)
+        rng = RngStream(SEED, 0)
+        _, ctx = simulate(spec, grid, rng.child(0), 128)
+        with open(out / f"{name}_redraw.bin", "wb") as fh:
+            for _, block in iter_continuations(
+                    spec, ctx, tail_grid(grid, 128), rng.child(1), 64):
+                fh.write(block.tobytes())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", help="write the outputs to this directory")
+    args = parser.parse_args()
+    with contextlib.ExitStack() as stack:
+        out = Path(args.keep if args.keep is not None
+                   else stack.enter_context(tempfile.TemporaryDirectory()))
+        write_outputs(out)
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,10 @@ def log_drift(s: np.ndarray) -> np.ndarray:
     return 0.05 * np.asarray(s, dtype=float)
 
 
+def flat_integrand(s: np.ndarray) -> np.ndarray:
+    return np.full(np.shape(s), 0.2)
+
+
 _PRESETS: dict[str, ModelSpec] = {
     "brownian": ModelSpec(ModelTag.MIXED_FBM, name="brownian",
                           hurst=0.5, fbm_weight=0.0),
@@ -66,8 +70,9 @@ _PRESETS: dict[str, ModelSpec] = {
     "sde": ModelSpec(ModelTag.SDE_PRICE, name="sde",
                      mu_fn=bounded_mu, sigma_fn=bounded_sigma,
                      mu_bar=0.5, sigma_bar=2.0),
-    "exp_drift": ModelSpec(ModelTag.EXP_DRIFT_PRICE, name="exp_drift",
-                           f_fn=log_drift, sigma=0.2),
+    # log price 0.05 t + 0.2 W_t: a deterministic integrand, so a Wiener integral
+    "exp_drift": ModelSpec(ModelTag.WIENER_INTEGRAL, name="exp_drift",
+                           h_fn=log_drift, k_fn=flat_integrand),
     "doleans": ModelSpec(ModelTag.DOLEANS_CE, name="doleans"),
     "bridge": ModelSpec(ModelTag.BRIDGE_CE, name="bridge"),
 }

@@ -28,10 +28,12 @@ from .models import ModelTag, simulate
 from .smallball import SmallBallQuery, estimate_smallball
 from .suite import (
     CSV_HEADER,
+    BatteryRow,
     BatteryTemplate,
     ReportFormat,
     TargetStyle,
     render_report,
+    row_fields,
     run_battery,
     single_target,
 )
@@ -77,9 +79,6 @@ _TAG_LINES = {
     ModelTag.DOLEANS_CE:
         "strictly positive exponential martingale exp(W_t - t/2)"
         " (no parameters)",
-    ModelTag.EXP_DRIFT_PRICE:
-        "price p0*exp(integral f + sigma*W) with deterministic drift"
-        " (f_fn, sigma, p0)",
     ModelTag.MIXED_FBM:
         "Brownian motion plus weighted independent fractional Brownian"
         " motion (hurst, fbm_weight)",
@@ -164,10 +163,6 @@ def cmd_models(_config) -> int:
     return EXIT_OK
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def cmd_smallball(config) -> int:
     spec = catalog.get_preset(str(config["model"]))
     try:
@@ -184,16 +179,12 @@ def cmd_smallball(config) -> int:
     query = SmallBallQuery(t_index, target, float(config["epsilon"]))
     est = estimate_smallball(spec, ctx, query, int(config["reps"]),
                              rng.child(1))
-    fields = [
-        spec.name, _num(config["t_frac"]), style.value,
-        _num(config["amplitude"]), _num(config["epsilon"]),
-        str(est.reps), str(est.hits), _num(est.p_hat), _num(est.ci_low),
-        _num(est.ci_high), est.classification.value, str(config["seed"]),
-    ]
+    row = BatteryRow(spec.name, float(config["t_frac"]), style.value,
+                     float(config["amplitude"]), float(config["epsilon"]), est)
     path = _out_path(config, spec.name, "smallball", "csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.write(",".join(fields) + "\n")
+        fh.write(",".join(row_fields(row, int(config["seed"]))) + "\n")
     print(f"{spec.name}: p_hat={est.p_hat:.6g} "
           f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}] "
           f"classification={est.classification.value}")

@@ -245,9 +245,7 @@ def make_estimate(hits: int, reps: int, z: float = 1.96,
         cls = Classification.ANALYTIC_ZERO
     elif hits == 0:
         cls = Classification.ZERO_CONSISTENT
-    elif low > 0:
-        cls = Classification.POSITIVE
     else:
-        cls = Classification.ZERO_CONSISTENT
+        cls = Classification.POSITIVE
     return Estimate(int(hits), int(reps), hits / reps, low, high, cls,
                     analytic_zero_reason)

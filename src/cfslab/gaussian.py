@@ -171,13 +171,15 @@ def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray) -> np.nd
 
     The stochastic integral is computed pathwise by integration by parts,
         int_0^t e^{-a(t-s)} dB^h = B^h(t) - a e^{-at} int_0^t e^{as} B^h(s) ds,
-    with trapezoidal quadrature for the Riemann integral.
+    with trapezoidal quadrature for the Riemann integral. Works along the
+    last axis, so a batch of fBm paths gives a batch of fOU paths.
     """
     t = np.asarray(grid.nodes)
     b = np.asarray(fbm_values, dtype=float)
     integrand = np.exp(spec.alpha * t) * b
-    cells = 0.5 * (integrand[1:] + integrand[:-1]) * grid.dt
-    cum = np.concatenate(([0.0], np.cumsum(cells)))
+    cells = 0.5 * (integrand[..., 1:] + integrand[..., :-1]) * grid.dt
+    cum = np.zeros(integrand.shape)
+    np.cumsum(cells, axis=-1, out=cum[..., 1:])
     stoch = b - spec.alpha * np.exp(-spec.alpha * t) * cum
     return spec.v0 * np.exp(-spec.alpha * t) + spec.sigma * stoch
 
@@ -206,6 +208,23 @@ def bridge_steps(grid_tail: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return w, s
 
 
+def bridge_paths(grid_tail: TimeGrid, start: float, terminal: float,
+                 xi: np.ndarray) -> np.ndarray:
+    """Brownian bridges from (t_start, start) to (t_end, terminal).
+
+    One path per row of the standard normals `xi` (shape (..., n_steps)),
+    by the exact per-step recursion of `bridge_steps`; the final node
+    equals `terminal` exactly.
+    """
+    w, s = bridge_steps(grid_tail)
+    z = np.empty(xi.shape[:-1] + (grid_tail.n_nodes,))
+    z[..., 0] = start
+    for i in range(grid_tail.n_steps):
+        z[..., i + 1] = z[..., i] + w[i] * (terminal - z[..., i]) + s[i] * xi[..., i]
+    z[..., -1] = terminal
+    return z
+
+
 def gen_bridge_continuation(
     history: Path, terminal_value: float, grid_tail: TimeGrid, rng: RngStream
 ) -> Path:
@@ -217,12 +236,6 @@ def gen_bridge_continuation(
     """
     if abs(history.grid.t_end - grid_tail.t_start) > 1e-12:
         raise GridMismatch("grid_tail must start where history ends")
-    start = float(history.values[-1])
-    w, s = bridge_steps(grid_tail)
     xi = rng.generator().standard_normal(grid_tail.n_steps)
-    values = np.empty(grid_tail.n_nodes)
-    values[0] = start
-    for i in range(grid_tail.n_steps):
-        values[i + 1] = values[i] + w[i] * (terminal_value - values[i]) + s[i] * xi[i]
-    values[-1] = terminal_value
-    return Path(grid_tail, values)
+    return Path(grid_tail, bridge_paths(grid_tail, float(history.values[-1]),
+                                        terminal_value, xi))

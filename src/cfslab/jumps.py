@@ -145,6 +145,22 @@ def _scaled_sub_events(spec: BnsSpec, rng_gen, t0: float, t1: float, dt: float):
     return mids, sizes
 
 
+def bns_forward(spec: BnsSpec, v_start: float, grid: TimeGrid, gen) -> np.ndarray:
+    """Evolve the decaying-subordinator volatility over `grid` from v_start.
+
+    V(t) = e^{-decay (t-t0)} * (v_start + sum_{jumps u <= t} e^{decay (u-t0)} J),
+    drawing the jumps from the numpy Generator `gen`.
+    """
+    lam = spec.decay
+    t0 = grid.t_start
+    nodes = np.asarray(grid.nodes)
+    u, j = _scaled_sub_events(spec, gen, t0, grid.t_end, grid.dt)
+    weighted = np.concatenate(
+        ([v_start], np.cumsum(np.exp(lam * (u - t0)) * j) + v_start))
+    idx = np.searchsorted(u, nodes, side="right")
+    return np.exp(-lam * (nodes - t0)) * weighted[idx]
+
+
 def gen_bns_vol(grid: TimeGrid, spec: BnsSpec, rng: RngStream) -> Path:
     """Decaying-subordinator volatility with a truncated stationary start.
 
@@ -153,45 +169,43 @@ def gen_bns_vol(grid: TimeGrid, spec: BnsSpec, rng: RngStream) -> Path:
     """
     if grid.t_start != 0.0:
         raise BadParams("volatility grid must start at 0")
-    lam = spec.decay
     g = rng.generator()
     # Stationary start: jumps on [-window, 0] weighted by e^{decay s}.
     u0, j0 = _scaled_sub_events(spec, g, -spec.window, 0.0, grid.dt)
-    v0 = float(np.sum(np.exp(lam * u0) * j0))
-    # Forward jumps on [0, T].
-    u1, j1 = _scaled_sub_events(spec, g, 0.0, grid.t_end, grid.dt)
-    weighted = np.concatenate(([v0], np.cumsum(np.exp(lam * u1) * j1) + v0))
-    idx = np.searchsorted(u1, grid.nodes, side="right")
-    values = np.exp(-lam * np.asarray(grid.nodes)) * weighted[idx]
-    return Path(grid, values)
+    v0 = float(np.sum(np.exp(spec.decay * u0) * j0))
+    return Path(grid, bns_forward(spec, v0, grid, g))
 
 
-def gen_ctmc_vol(grid: TimeGrid, spec: CtmcSpec, rng: RngStream) -> Path:
-    """Piecewise-constant volatility path of a continuous-time Markov chain.
+def ctmc_states(grid: TimeGrid, spec: CtmcSpec, state: int, gen) -> np.ndarray:
+    """State index of the chain at every node of `grid`, started in `state`.
 
-    Holding times are exact exponentials; the state at a node is recorded
-    left-continuously (a jump exactly at a node takes effect after it).
+    Holding times are exact exponentials drawn from the numpy Generator
+    `gen`; the state at a node is recorded left-continuously (a jump exactly
+    at a node takes effect after it).
     """
-    g = rng.generator()
     q = spec.generator
     change_times = [grid.t_start]
-    states = [spec.initial_state]
+    states = [state]
     t = grid.t_start
-    state = spec.initial_state
     while True:
         rate = -q[state, state]
         if rate <= 0:
             break
-        t = t + g.exponential(1.0 / rate)
+        t = t + gen.exponential(1.0 / rate)
         if t >= grid.t_end:
             break
         probs = np.clip(q[state], 0.0, None)
         probs[state] = 0.0
         probs = probs / probs.sum()
-        state = int(g.choice(spec.n_states, p=probs))
+        state = int(gen.choice(spec.n_states, p=probs))
         change_times.append(t)
         states.append(state)
     idx = np.searchsorted(change_times, grid.nodes, side="left") - 1
     idx = np.clip(idx, 0, len(states) - 1)
-    values = spec.vol_levels[np.asarray(states)[idx]]
-    return Path(grid, values.astype(float))
+    return np.asarray(states)[idx]
+
+
+def gen_ctmc_vol(grid: TimeGrid, spec: CtmcSpec, rng: RngStream) -> Path:
+    """Piecewise-constant volatility path of a continuous-time Markov chain."""
+    states = ctmc_states(grid, spec, spec.initial_state, rng.generator())
+    return Path(grid, spec.vol_levels[states])

@@ -29,7 +29,7 @@ from .core import (
 )
 from .gaussian import (
     FouSpec,
-    bridge_steps,
+    bridge_paths,
     fbm_conditional_factors,
     fou_from_fbm,
     lower_tri_matmul,
@@ -47,7 +47,6 @@ class ModelTag(enum.Enum):
     SDE_PRICE = "SDE_PRICE"
     DOLEANS_CE = "DOLEANS_CE"
     BRIDGE_CE = "BRIDGE_CE"
-    EXP_DRIFT_PRICE = "EXP_DRIFT_PRICE"
 
 
 PRICE_TAGS = frozenset({
@@ -56,7 +55,6 @@ PRICE_TAGS = frozenset({
     ModelTag.COMTE_RENAULT_PRICE,
     ModelTag.REGIME_PRICE,
     ModelTag.SDE_PRICE,
-    ModelTag.EXP_DRIFT_PRICE,
 })
 
 
@@ -119,8 +117,6 @@ class ModelSpec:
     bns: BnsSpec | None = None
     fou: FouSpec | None = None
     ctmc: CtmcSpec | None = None
-    # deterministic log-price drift for EXP_DRIFT_PRICE
-    f_fn: Callable[[np.ndarray], np.ndarray] | None = None
     # path-dependent coefficients and bounds for SDE_PRICE
     mu_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
     sigma_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -186,10 +182,9 @@ class ConditioningContext:
 # helpers
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
-    if x.ndim == 1:
-        return np.concatenate(([0.0], np.cumsum(x)))
-    out = np.zeros((x.shape[0], x.shape[1] + 1))
-    np.cumsum(x, axis=1, out=out[:, 1:])
+    """Cumulative sums along the last axis, with a leading zero."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -239,11 +234,10 @@ def _vol_drivers(spec: ModelSpec, grid: TimeGrid, rng: RngStream):
         frozen["v"] = v
         frozen["fbm"] = fbm.values
     elif spec.tag is ModelTag.REGIME_PRICE:
-        vol = jumps.gen_ctmc_vol(grid, spec.ctmc, rng.child(1)).values
-        g = vol
-        frozen["v"] = vol
-        levels = list(spec.ctmc.vol_levels)
-        frozen["state"] = np.array([levels.index(x) for x in vol])
+        frozen["state"] = jumps.ctmc_states(
+            grid, spec.ctmc, spec.ctmc.initial_state, rng.child(1).generator())
+        g = spec.ctmc.vol_levels[frozen["state"]]
+        frozen["v"] = g
     else:
         raise BadParams(f"not a volatility-driven price model: {spec.tag}")
     frozen["g"] = g
@@ -266,8 +260,12 @@ def simulate(
     frozen: dict = {}
     tag = spec.tag
 
-    if tag in (ModelTag.MIXED_FBM, ModelTag.WIENER_INTEGRAL, ModelTag.DOLEANS_CE,
-               ModelTag.EXP_DRIFT_PRICE, ModelTag.SDE_PRICE):
+    if tag is ModelTag.BRIDGE_CE:
+        dw = rng.child(0).generator().normal(0.0, np.sqrt(grid.dt), n)
+        terminal = rng.child(2).generator().normal(0.0, np.sqrt(grid.span))
+        z = _bridge_euler(grid, terminal, dw)
+        frozen["terminal"] = terminal
+    else:
         w = gaussian.gen_brownian(grid, rng.child(0)).values
         dw = np.diff(w)
         frozen["w"] = w
@@ -285,12 +283,7 @@ def simulate(
             z = hvals + _cumsum0(kvals[:-1] * dw)
         elif tag is ModelTag.DOLEANS_CE:
             z = np.exp(w - 0.5 * (t - t[0]))
-        elif tag is ModelTag.EXP_DRIFT_PRICE:
-            fvals = spec.f_fn(t) if spec.f_fn is not None else np.zeros(n + 1)
-            lz = np.log(spec.p0) + fvals + _cumsum0(spec.sigma * dw)
-            frozen["lz"] = lz
-            z = lz if spec.log_space else np.exp(lz)
-        else:  # SDE_PRICE
+        elif tag is ModelTag.SDE_PRICE:
             lz = np.empty(n + 1)
             lz[0] = np.log(spec.p0)
             for i in range(n):
@@ -301,27 +294,15 @@ def simulate(
                     + (s / p) * dw[i]
             frozen["lz"] = lz
             z = lz if spec.log_space else np.exp(lz)
-    elif tag is ModelTag.BRIDGE_CE:
-        g = rng.child(0).generator()
-        dw = g.normal(0.0, np.sqrt(grid.dt), n)
-        terminal = rng.child(2).generator().normal(0.0, np.sqrt(grid.span))
-        z, exact = _bridge_pair(grid, terminal, dw)
-        frozen["terminal"] = terminal
-        frozen["b_exact"] = exact
-    elif tag in PRICE_TAGS:
-        w = gaussian.gen_brownian(grid, rng.child(0)).values
-        dw = np.diff(w)
-        frozen["w"] = w
-        gpath, db, vol_frozen = _vol_drivers(spec, grid, rng)
-        frozen.update(vol_frozen)
-        root = np.sqrt(1.0 - spec.rho ** 2)
-        drift = _cumsum0((spec.mu - 0.5 * gpath[:-1] ** 2) * grid.dt)
-        lz = np.log(spec.p0) + drift + spec.rho * _cumsum0(gpath[:-1] * db) \
-            + root * _cumsum0(gpath[:-1] * dw)
-        frozen["lz"] = lz
-        z = lz if spec.log_space else np.exp(lz)
-    else:
-        raise BadParams(f"unknown tag {tag}")
+        else:
+            gpath, db, vol_frozen = _vol_drivers(spec, grid, rng)
+            frozen.update(vol_frozen)
+            root = np.sqrt(1.0 - spec.rho ** 2)
+            drift = _cumsum0((spec.mu - 0.5 * gpath[:-1] ** 2) * grid.dt)
+            lz = np.log(spec.p0) + drift + spec.rho * _cumsum0(gpath[:-1] * db) \
+                + root * _cumsum0(gpath[:-1] * dw)
+            frozen["lz"] = lz
+            z = lz if spec.log_space else np.exp(lz)
 
     path = Path(grid, z)
     ctx = ConditioningContext(
@@ -334,31 +315,20 @@ def simulate(
     return path, ctx
 
 
-def _bridge_pair(grid: TimeGrid, terminal: float, dw: np.ndarray):
+def _bridge_euler(grid: TimeGrid, terminal: float, dw: np.ndarray) -> np.ndarray:
     """Singular-drift reconstruction of a pinned Brownian path.
 
-    Returns (euler, exact): `euler` integrates the drift
-    (terminal - Z_s) / (T - s) with the closed-form cell integral of
-    1/(T - s) frozen at the left numerator, pinning the final cell exactly;
-    `exact` applies the exact per-cell conditional (bridge) recursion to
-    the same noise. Their sup-distance is the quadrature error, which
-    shrinks with the mesh.
+    Integrates the drift (terminal - Z_s) / (T - s) with the closed-form
+    cell integral of 1/(T - s) frozen at the left numerator, pinning the
+    final cell exactly.
     """
-    t = np.asarray(grid.nodes)
-    n = grid.n_steps
-    rem = grid.t_end - t
-    euler = np.empty(n + 1)
-    exact = np.empty(n + 1)
-    euler[0] = exact[0] = 0.0
-    xi = dw / np.sqrt(grid.dt)
-    w_mean, noise = bridge_steps(grid)
-    for i in range(n - 1):
-        q = np.log(rem[i] / rem[i + 1])
-        euler[i + 1] = euler[i] + (terminal - euler[i]) * q + dw[i]
-        exact[i + 1] = exact[i] + w_mean[i] * (terminal - exact[i]) + noise[i] * xi[i]
-    euler[n] = terminal
-    exact[n] = terminal
-    return euler, exact
+    rem = grid.t_end - np.asarray(grid.nodes)
+    z = np.empty(grid.n_steps + 1)
+    z[0] = 0.0
+    for i in range(grid.n_steps - 1):
+        z[i + 1] = z[i] + (terminal - z[i]) * np.log(rem[i] / rem[i + 1]) + dw[i]
+    z[-1] = terminal
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +422,9 @@ def continue_chunk(
         if not redraw:
             det = spec.fbm_weight * (fbm[i0:] - fbm[i0])
             return ctx.z_t + det[None, :] + w_hat
-        a, factor = fbm_conditional_factors(spec.hurst, ctx.grid, i0)
-        past = fbm[1 : i0 + 1]
-        mean = a @ past if i0 > 0 else np.zeros(ctx.grid.n_steps)
-        tails = mean[None, :] + lower_tri_matmul(xi_f, factor)
         rel = np.concatenate(
-            (np.zeros((len(streams), 1)), tails - fbm[i0]), axis=1)
+            (np.zeros((len(streams), 1)),
+             _fbm_tails(spec.hurst, ctx, xi_f) - fbm[i0]), axis=1)
         return ctx.z_t + spec.fbm_weight * rel + w_hat
 
     if tag is ModelTag.WIENER_INTEGRAL:
@@ -474,23 +441,7 @@ def continue_chunk(
 
     if tag is ModelTag.BRIDGE_CE:
         (xi,) = _fresh_normals(streams, m, 1)
-        terminal = ctx.frozen["terminal"]
-        w_mean, noise = bridge_steps(grid_tail)
-        z = np.empty((len(streams), m + 1))
-        z[:, 0] = ctx.z_t
-        for i in range(m):
-            z[:, i + 1] = z[:, i] + w_mean[i] * (terminal - z[:, i]) \
-                + noise[i] * xi[:, i]
-        z[:, -1] = terminal
-        return z
-
-    if tag is ModelTag.EXP_DRIFT_PRICE:
-        (xi_w,) = _fresh_normals(streams, m, 1)
-        fvals = spec.f_fn(tail_t) if spec.f_fn is not None else np.zeros(m + 1)
-        lz_t = float(ctx.frozen["lz"][i0])
-        lz = lz_t + (fvals - fvals[0])[None, :] \
-            + _cumsum0(spec.sigma * xi_w * np.sqrt(dt))
-        return lz if spec.log_space else np.exp(lz)
+        return bridge_paths(grid_tail, ctx.z_t, ctx.frozen["terminal"], xi)
 
     if tag is ModelTag.SDE_PRICE:
         (xi_w,) = _fresh_normals(streams, m, 1)
@@ -505,10 +456,17 @@ def continue_chunk(
                 + (sg / p) * dw[:, i]
         return lz if spec.log_space else np.exp(lz)
 
-    if tag in PRICE_TAGS:
-        return _continue_vol_price(spec, ctx, grid_tail, streams)
+    return _continue_vol_price(spec, ctx, grid_tail, streams)
 
-    raise BadParams(f"unknown tag {tag}")
+
+def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.ndarray:
+    """fBm at the nodes after the restart, one row per row of the standard
+    normals `xi`, from its exact conditional law given the frozen history."""
+    i0 = ctx.t_index
+    a, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
+    past = ctx.frozen["fbm"][1 : i0 + 1]
+    mean = a @ past if i0 > 0 else np.zeros(ctx.grid.n_steps)
+    return mean[None, :] + lower_tri_matmul(xi, factor)
 
 
 def _continue_vol_price(spec, ctx, grid_tail, streams):
@@ -558,21 +516,11 @@ def _continue_vol_price(spec, ctx, grid_tail, streams):
 
     if spec.tag is ModelTag.COMTE_RENAULT_PRICE:
         xi_w, xi_f = _fresh_normals(streams, m, 2)
-        fou = spec.fou
-        a, factor = fbm_conditional_factors(fou.hurst, ctx.grid, i0)
         fbm = ctx.frozen["fbm"]
-        past = fbm[1 : i0 + 1]
-        mean = a @ past if i0 > 0 else np.zeros(ctx.grid.n_steps)
-        tails = mean[None, :] + lower_tri_matmul(xi_f, factor)
         full = np.concatenate(
-            (np.broadcast_to(fbm[: i0 + 1], (len(streams), i0 + 1)), tails), axis=1)
-        grid_t = np.asarray(ctx.grid.nodes)
-        integrand = np.exp(fou.alpha * grid_t)[None, :] * full
-        cells = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * ctx.grid.dt
-        cum = _cumsum0(cells)
-        stoch = full - fou.alpha * np.exp(-fou.alpha * grid_t)[None, :] * cum
-        v = fou.v0 * np.exp(-fou.alpha * grid_t)[None, :] + fou.sigma * stoch
-        g = np.exp(v[:, i0:])
+            (np.broadcast_to(fbm[: i0 + 1], (len(streams), i0 + 1)),
+             _fbm_tails(spec.fou.hurst, ctx, xi_f)), axis=1)
+        g = np.exp(fou_from_fbm(ctx.grid, spec.fou, full)[:, i0:])
         drift = np.cumsum((spec.mu - 0.5 * g[:, :-1] ** 2) * dt, axis=1)
         lz = np.empty((len(streams), m + 1))
         lz[:, 0] = lz_t
@@ -592,12 +540,12 @@ def _continue_vol_price(spec, ctx, grid_tail, streams):
         gen = s.generator()
         dw[r] = gen.standard_normal(m)
         if spec.tag is ModelTag.BNS_PRICE:
-            v = _bns_forward(spec.bns, float(ctx.frozen["v"][i0]), grid_tail, gen)
+            v = jumps.bns_forward(spec.bns, float(ctx.frozen["v"][i0]), grid_tail, gen)
             gm[r] = np.sqrt(v[:-1])
         else:
-            state = int(ctx.frozen["state"][i0])
-            sub = CtmcSpec(spec.ctmc.generator, spec.ctmc.vol_levels, state)
-            gm[r] = _ctmc_vol_values(grid_tail, sub, gen)[:-1]
+            states = jumps.ctmc_states(grid_tail, spec.ctmc,
+                                       int(ctx.frozen["state"][i0]), gen)
+            gm[r] = spec.ctmc.vol_levels[states[:-1]]
     dw *= sdt
     dw *= gm
     gm *= gm
@@ -607,41 +555,6 @@ def _continue_vol_price(spec, ctx, grid_tail, streams):
     np.cumsum(gm, axis=1, out=lz[:, 1:])
     lz[:, 1:] += lz_t
     return lz if spec.log_space else np.exp(lz)
-
-
-def _bns_forward(bns: BnsSpec, v_start: float, grid_tail: TimeGrid, gen) -> np.ndarray:
-    """Evolve the decaying-subordinator volatility forward from v_start."""
-    lam = bns.decay
-    t0 = grid_tail.t_start
-    u, j = jumps._scaled_sub_events(bns, gen, t0, grid_tail.t_end, grid_tail.dt)
-    rel = np.asarray(grid_tail.nodes) - t0
-    weighted = np.concatenate(([v_start], np.cumsum(np.exp(lam * (u - t0)) * j) + v_start))
-    idx = np.searchsorted(u, grid_tail.nodes, side="right")
-    return np.exp(-lam * rel) * weighted[idx]
-
-
-def _ctmc_vol_values(grid_tail: TimeGrid, spec: CtmcSpec, gen) -> np.ndarray:
-    q = spec.generator
-    change_times = [grid_tail.t_start]
-    states = [spec.initial_state]
-    t = grid_tail.t_start
-    state = spec.initial_state
-    while True:
-        rate = -q[state, state]
-        if rate <= 0:
-            break
-        t = t + gen.exponential(1.0 / rate)
-        if t >= grid_tail.t_end:
-            break
-        probs = np.clip(q[state], 0.0, None)
-        probs[state] = 0.0
-        probs = probs / probs.sum()
-        state = int(gen.choice(spec.n_states, p=probs))
-        change_times.append(t)
-        states.append(state)
-    idx = np.searchsorted(change_times, grid_tail.nodes, side="left") - 1
-    idx = np.clip(idx, 0, len(states) - 1)
-    return spec.vol_levels[np.asarray(states)[idx]].astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     Path,
     RngStream,
     TimeGrid,
+    grids_equal,
     make_estimate,
     make_grid,
 )
@@ -29,6 +30,8 @@ from .models import (
     ConditioningContext,
     ModelSpec,
     ModelTag,
+    _cumsum0,
+    _fresh_normals,
     cell_noise_scale,
     iter_continuations,
 )
@@ -131,6 +134,8 @@ def estimate_many(
         raise BadQuery(
             f"queries restart at {sorted(t_indices)}, context at {ctx.t_index}")
     grid_tail = queries[0].target.grid
+    if not all(grids_equal(q.target.grid, grid_tail) for q in queries):
+        raise BadQuery("queries must share one tail grid")
     reasons = [detect_analytic_zero(spec, ctx, q) for q in queries]
     live = [i for i, r in enumerate(reasons) if r is None]
     hits = np.zeros(len(queries), dtype=np.int64)
@@ -240,12 +245,8 @@ def timechanged_smallball(
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
         streams = [rng.child(r) for r in range(start, stop)]
-        block = np.empty((len(streams), grid_u.n_steps))
-        for r, s in enumerate(streams):
-            block[r] = s.generator().standard_normal(grid_u.n_steps)
-        w = np.concatenate(
-            (np.zeros((len(streams), 1)), np.cumsum(block * sdt, axis=1)), axis=1)
-        d = w - target_u[None, :]
+        (xi,) = _fresh_normals(streams, grid_u.n_steps, 1)
+        d = _cumsum0(xi * sdt) - target_u[None, :]
         inside = np.max(np.abs(d), axis=1) < eps
         idx = np.nonzero(inside)[0]
         surv = _bridge_survival(d[idx], eps, s2)

@@ -70,16 +70,10 @@ def build_targets(
     """Deterministic family: 5 styles x amplitudes {a, a/2} = 10 targets."""
     if amplitude <= 0 or n_segments < 1:
         raise BadParams("need amplitude > 0 and n_segments >= 1")
-    t = np.asarray(grid_tail.nodes)
-    frac = (t - grid_tail.t_start) / grid_tail.span
-    members = []
-    for style in TargetStyle:
-        for amp in (amplitude, amplitude / 2.0):
-            kf, kv = _knots(style, amp, n_segments)
-            values = np.interp(frac, kf, kv)
-            values[0] = 0.0
-            members.append((style, amp, Path(grid_tail, values)))
-    return TargetFamily(grid_tail, tuple(members))
+    members = tuple(
+        (style, amp, single_target(grid_tail, style, amp, n_segments))
+        for style in TargetStyle for amp in (amplitude, amplitude / 2.0))
+    return TargetFamily(grid_tail, members)
 
 
 def single_target(
@@ -117,6 +111,11 @@ class BatteryTemplate:
     n_segments: int = 4
     pilot_reps: int = 1000
 
+    def __post_init__(self):
+        # one continuation has no spread to scale the targets by
+        if self.pilot_reps < 2:
+            raise BadParams(f"pilot_reps must be >= 2, got {self.pilot_reps}")
+
 
 @dataclass(frozen=True)
 class BatteryRow:
@@ -141,6 +140,20 @@ class BatteryReport:
 
 CSV_HEADER = ("model,t_frac,style,amplitude,epsilon,reps,hits,"
               "p_hat,ci_low,ci_high,classification,seed")
+
+
+def row_values(row: BatteryRow, seed: int) -> tuple:
+    """The report values of one row, in CSV_HEADER order."""
+    e = row.estimate
+    return (row.model, row.t_frac, row.style, row.amplitude, row.epsilon,
+            e.reps, e.hits, e.p_hat, e.ci_low, e.ci_high,
+            e.classification.value, seed)
+
+
+def row_fields(row: BatteryRow, seed: int) -> list[str]:
+    """`row_values` as text; every float gets 17 significant digits."""
+    return [format(v, ".17g") if isinstance(v, float) else str(v)
+            for v in row_values(row, seed)]
 
 
 def _pilot_std(spec, ctx, grid_tail, rng, pilot_reps) -> float:
@@ -246,28 +259,6 @@ class ReportFormat(enum.Enum):
     PLOTDATA = "plotdata"
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _row_fields(row: BatteryRow, seed: int) -> list[str]:
-    e = row.estimate
-    return [
-        row.model,
-        _num(row.t_frac),
-        row.style,
-        _num(row.amplitude),
-        _num(row.epsilon),
-        str(e.reps),
-        str(e.hits),
-        _num(e.p_hat),
-        _num(e.ci_low),
-        _num(e.ci_high),
-        e.classification.value,
-        str(seed),
-    ]
-
-
 def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
     """Serialize a battery report; UTF-8, LF line endings, 17 significant
     digits for every numeric field."""
@@ -275,7 +266,7 @@ def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")
         for row in report.rows:
-            out.write(",".join(_row_fields(row, report.seed)) + "\n")
+            out.write(",".join(row_fields(row, report.seed)) + "\n")
         return out.getvalue().encode()
     if fmt is ReportFormat.JSON:
         payload = {
@@ -284,23 +275,8 @@ def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
             "t_end": report.template.t_end,
             "n_steps": report.template.n_steps,
             "verdicts": report.verdicts,
-            "rows": [
-                {
-                    "model": r.model,
-                    "t_frac": r.t_frac,
-                    "style": r.style,
-                    "amplitude": r.amplitude,
-                    "epsilon": r.epsilon,
-                    "reps": r.estimate.reps,
-                    "hits": r.estimate.hits,
-                    "p_hat": r.estimate.p_hat,
-                    "ci_low": r.estimate.ci_low,
-                    "ci_high": r.estimate.ci_high,
-                    "classification": r.estimate.classification.value,
-                    "seed": report.seed,
-                }
-                for r in report.rows
-            ],
+            "rows": [dict(zip(CSV_HEADER.split(","), row_values(r, report.seed)))
+                     for r in report.rows],
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
     blocks = []
@@ -312,6 +288,6 @@ def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
         lines = [f"# {model}"]
         for row in report.rows:
             if row.model == model:
-                lines.append(" ".join(_row_fields(row, report.seed)[1:11]))
+                lines.append(" ".join(row_fields(row, report.seed)[1:11]))
         blocks.append("\n".join(lines))
     return ("\n\n".join(blocks) + "\n").encode()

@@ -109,6 +109,14 @@ class TestBatteryCommand:
              "--out", str(tmp_path)], capsys)
         assert code == EXIT_CONFIG
 
+    def test_pilot_reps_below_two_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "models = doleans\nn_steps = 128\npilot_reps = 0\n")
+        code, _, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "pilot_reps" in err
+
     def test_plotdata_format_adds_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "models = doleans\nn_steps = 128\npilot_reps = 200\n")
         code, _, _ = run(

@@ -4,6 +4,7 @@ import pytest
 
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
 from cfslab.core import BadParams, FellerWarning, RngStream, make_grid, tail_grid
+from cfslab.jumps import CtmcSpec
 from cfslab.models import (
     CirSpec,
     HkMode,
@@ -145,6 +146,35 @@ class TestContinuation:
         assert np.var(finals) > tail.span
 
 
+class TestRegimeState:
+    # 0 -> 1 -> 2 at rate 100, so the chain is absorbed in state 2 long
+    # before MID on every path; state 2 shares its level with state 0, so
+    # the volatility level alone cannot tell the two apart.
+    CTMC = CtmcSpec(generator=((-100.0, 100.0, 0.0), (0.0, -100.0, 100.0),
+                               (0.0, 0.0, 0.0)),
+                    vol_levels=(0.2, 0.3, 0.2))
+
+    def test_frozen_state_is_the_chains_state(self):
+        spec = ModelSpec(ModelTag.REGIME_PRICE, ctmc=self.CTMC)
+        _, ctx = simulate(spec, GRID, RngStream(17, 0), MID)
+        state = ctx.frozen["state"]
+        assert state[0] == 0 and state[-1] == 2
+        assert np.all(np.diff(state) >= 0)
+        assert np.array_equal(self.CTMC.vol_levels[state], ctx.frozen["v"])
+
+    def test_redraw_continues_from_the_chains_state(self):
+        # from the absorbing state the redrawn volatility is 0.2 throughout
+        spec = ModelSpec(ModelTag.REGIME_PRICE, ctmc=self.CTMC,
+                         hk_mode=HkMode.REDRAW)
+        _, ctx = simulate(spec, GRID, RngStream(17, 0), MID)
+        tail = tail_grid(GRID, MID)
+        p = continue_conditional(spec, ctx, tail, RngStream(17, 1))
+        xi = RngStream(17, 1).generator().standard_normal(tail.n_steps)
+        inc = -0.5 * 0.04 * tail.dt + 0.2 * np.sqrt(tail.dt) * xi
+        expected = ctx.z_t + np.concatenate(([0.0], np.cumsum(inc)))
+        assert np.allclose(p.values, expected, rtol=0.0, atol=1e-12)
+
+
 class TestCellNoiseScale:
     def test_pure_brownian(self):
         spec = get_preset("brownian")
@@ -166,7 +196,8 @@ class TestCellNoiseScale:
 
 
 class TestValidateSpec:
-    @pytest.mark.parametrize("name", DEFAULT_BATTERY)
+    @pytest.mark.parametrize(
+        "name", DEFAULT_BATTERY + ("brownian", "wiener_affine", "exp_drift"))
     def test_battery_models_pass(self, name):
         report = validate_spec(get_preset(name))
         assert report.passed, [c for c in report.checks if c.status == "FAIL"]

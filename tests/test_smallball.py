@@ -64,6 +64,16 @@ class TestQueryValidation:
         with pytest.raises(BadQuery):
             SmallBallQuery(0, constant_path(GRID, 0.5), 1.0)
 
+    @pytest.mark.parametrize("other", [make_grid(0.0, 2.0, 256),
+                                       make_grid(0.0, 1.0, 128)],
+                             ids=["longer", "coarser"])
+    def test_mixed_tail_grids_rejected(self, other):
+        spec, ctx = _ctx("brownian")
+        qs = [SmallBallQuery(0, constant_path(GRID, 0.0), 1.0),
+              SmallBallQuery(0, constant_path(other, 0.0), 1.0)]
+        with pytest.raises(BadQuery):
+            estimate_many(spec, ctx, qs, 10, RngStream(0, 1))
+
     def test_mismatched_restart_rejected(self):
         spec, ctx = _ctx("brownian", t_index=0)
         q = SmallBallQuery(128, constant_path(tail_grid(GRID, 128), 0.0), 1.0)
