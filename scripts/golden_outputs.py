@@ -7,7 +7,13 @@ With BLAS pinned to one thread, runs at fixed seeds:
 - the default seven-model battery at 1000 replications on 2^11 steps;
 - a few smallball queries;
 - raw continuation bytes of the presets whose REDRAW branch no preset
-  selects (`bns`, `comte_renault`, `regime`);
+  selects (`bns`, `comte_renault`, `regime`), and of the presets whose
+  FIXED branch no preset selects (`heston`, `mixed_fbm_h075`), at restarts
+  0 and 128 of 256 steps;
+- raw history and continuation bytes of every preset at restarts 0 and
+  128 of 256 steps;
+- the stdout of `cfslab models`;
+- `repr(validate_spec(spec))` for every preset;
 
 into a temporary directory, and prints one `<sha256>  <file>` line per
 output, sorted by file name. A refactor that must keep its bytes runs this
@@ -44,7 +50,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cfslab import catalog  # noqa: E402
 from cfslab.cli import main as cli_main  # noqa: E402
 from cfslab.core import RngStream, make_grid, tail_grid  # noqa: E402
-from cfslab.models import HkMode, iter_continuations, simulate  # noqa: E402
+from cfslab.models import (  # noqa: E402
+    HkMode,
+    iter_continuations,
+    simulate,
+    validate_spec,
+)
 
 SEED = 11
 COARSE = "t_fracs = 0.0,0.25,0.5,0.75\nn_steps = 256\n"
@@ -78,15 +89,41 @@ def write_outputs(out: Path) -> None:
     for model, eps, t_frac, extra in SMALLBALL:
         _run(["smallball", "--reps", "5000", "--model", model,
               "--epsilon", str(eps), "--t-frac", str(t_frac)], out, extra)
-    grid = make_grid(0.0, 1.0, 256)
     for name in ("bns", "comte_renault", "regime"):
         spec = dataclasses.replace(catalog.get_preset(name),
                                    hk_mode=HkMode.REDRAW)
-        rng = RngStream(SEED, 0)
-        _, ctx = simulate(spec, grid, rng.child(0), 128)
-        with open(out / f"{name}_redraw.bin", "wb") as fh:
+        _write_raw(out / f"{name}_redraw.bin", spec, (128,), history=False)
+        _write_raw(out / f"{name}_redraw_0.bin", spec, (0,), history=False)
+    for name in ("heston", "mixed_fbm_h075"):
+        spec = dataclasses.replace(catalog.get_preset(name),
+                                   hk_mode=HkMode.FIXED)
+        _write_raw(out / f"{name}_fixed.bin", spec, (0, 128), history=False)
+    for name in catalog.preset_names():
+        spec = catalog.get_preset(name)
+        _write_raw(out / f"{name}_raw.bin", spec, (0, 128), history=True)
+        (out / f"{name}_validate.txt").write_text(
+            repr(validate_spec(spec)) + "\n", encoding="utf-8")
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        rc = cli_main(["models"])
+    if rc != 0:
+        raise SystemExit(f"cfslab models exited with {rc}")
+    (out / "models.txt").write_text(listing.getvalue(), encoding="utf-8")
+
+
+def _write_raw(path: Path, spec, t_indices, history: bool) -> None:
+    """Raw bytes of 64 continuations (and, with `history`, the simulated
+    path and its frozen history) from each restart node of a 2^8-step grid."""
+    grid = make_grid(0.0, 1.0, 256)
+    with open(path, "wb") as fh:
+        for t_index in t_indices:
+            rng = RngStream(SEED, 0)
+            z, ctx = simulate(spec, grid, rng.child(0), t_index)
+            if history:
+                fh.write(z.values.tobytes())
+                fh.write(ctx.z_values.tobytes())
             for _, block in iter_continuations(
-                    spec, ctx, tail_grid(grid, 128), rng.child(1), 64):
+                    spec, ctx, tail_grid(grid, t_index), rng.child(1), 64):
                 fh.write(block.tobytes())
 
 

@@ -14,7 +14,7 @@ from .core import (
     make_grid,
     tail_grid,
 )
-from .models import HkMode, ModelSpec, ModelTag, simulate, validate_spec
+from .models import FAMILIES, HkMode, ModelSpec, simulate, validate_spec
 from .smallball import (
     SmallBallQuery,
     brownian_smallball_series,
@@ -29,9 +29,9 @@ __all__ = [
     "BatteryTemplate",
     "Classification",
     "Estimate",
+    "FAMILIES",
     "HkMode",
     "ModelSpec",
-    "ModelTag",
     "Path",
     "RngStream",
     "SmallBallQuery",

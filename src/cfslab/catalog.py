@@ -10,7 +10,8 @@ import numpy as np
 from .core import BadParams
 from .gaussian import FouSpec
 from .jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
-from .models import CirSpec, HkMode, ModelSpec, ModelTag
+from . import models
+from .models import CirSpec, HkMode, ModelSpec
 
 
 def unit_drift(s: np.ndarray) -> np.ndarray:
@@ -40,41 +41,36 @@ def flat_integrand(s: np.ndarray) -> np.ndarray:
 
 
 _PRESETS: dict[str, ModelSpec] = {
-    "brownian": ModelSpec(ModelTag.MIXED_FBM, name="brownian",
-                          hurst=0.5, fbm_weight=0.0),
-    "mixed_fbm_h025": ModelSpec(ModelTag.MIXED_FBM, name="mixed_fbm_h025",
-                                hurst=0.25, fbm_weight=0.4,
-                                hk_mode=HkMode.REDRAW),
-    "mixed_fbm_h075": ModelSpec(ModelTag.MIXED_FBM, name="mixed_fbm_h075",
-                                hurst=0.75, fbm_weight=0.4,
-                                hk_mode=HkMode.REDRAW),
-    "wiener_affine": ModelSpec(ModelTag.WIENER_INTEGRAL, name="wiener_affine",
-                               h_fn=unit_drift, k_fn=affine_integrand),
-    "heston": ModelSpec(ModelTag.SV_PRICE, name="heston", mu=0.02, rho=-0.3,
-                        cir=CirSpec(kappa=3.0, theta=0.04, xi=0.2, v0=0.04),
-                        hk_mode=HkMode.REDRAW),
-    "bns": ModelSpec(ModelTag.BNS_PRICE, name="bns", mu=0.02,
-                     bns=BnsSpec(
-                         subordinator=SubordinatorSpec(
-                             SubordinatorKind.COMPOUND_POISSON_EXP,
-                             jump_rate=10.0, jump_mean=0.008),
-                         decay=2.0)),
-    "comte_renault": ModelSpec(ModelTag.COMTE_RENAULT_PRICE,
-                               name="comte_renault", mu=0.02,
-                               fou=FouSpec(hurst=0.7, alpha=1.0,
-                                           sigma=0.5, v0=np.log(0.2))),
-    "regime": ModelSpec(ModelTag.REGIME_PRICE, name="regime", mu=0.02,
-                        ctmc=CtmcSpec(
-                            generator=((-1.0, 1.0), (2.0, -2.0)),
-                            vol_levels=(0.15, 0.35), initial_state=0)),
-    "sde": ModelSpec(ModelTag.SDE_PRICE, name="sde",
-                     mu_fn=bounded_mu, sigma_fn=bounded_sigma,
-                     mu_bar=0.5, sigma_bar=2.0),
+    "brownian": models.MixedFbm(name="brownian", hurst=0.5, fbm_weight=0.0),
+    "mixed_fbm_h025": models.MixedFbm(name="mixed_fbm_h025", hurst=0.25,
+                                      fbm_weight=0.4, hk_mode=HkMode.REDRAW),
+    "mixed_fbm_h075": models.MixedFbm(name="mixed_fbm_h075", hurst=0.75,
+                                      fbm_weight=0.4, hk_mode=HkMode.REDRAW),
+    "wiener_affine": models.WienerIntegral(
+        name="wiener_affine", h_fn=unit_drift, k_fn=affine_integrand),
+    "heston": models.Heston(name="heston", mu=0.02, rho=-0.3,
+                            cir=CirSpec(kappa=3.0, theta=0.04, xi=0.2, v0=0.04),
+                            hk_mode=HkMode.REDRAW),
+    "bns": models.Bns(name="bns", mu=0.02,
+                      bns=BnsSpec(
+                          subordinator=SubordinatorSpec(
+                              SubordinatorKind.COMPOUND_POISSON_EXP,
+                              jump_rate=10.0, jump_mean=0.008),
+                          decay=2.0)),
+    "comte_renault": models.ComteRenault(
+        name="comte_renault", mu=0.02,
+        fou=FouSpec(hurst=0.7, alpha=1.0, sigma=0.5, v0=np.log(0.2))),
+    "regime": models.Regime(name="regime", mu=0.02,
+                            ctmc=CtmcSpec(
+                                generator=((-1.0, 1.0), (2.0, -2.0)),
+                                vol_levels=(0.15, 0.35), initial_state=0)),
+    "sde": models.SdePrice(name="sde", mu_fn=bounded_mu, sigma_fn=bounded_sigma,
+                           mu_bar=0.5, sigma_bar=2.0),
     # log price 0.05 t + 0.2 W_t: a deterministic integrand, so a Wiener integral
-    "exp_drift": ModelSpec(ModelTag.WIENER_INTEGRAL, name="exp_drift",
-                           h_fn=log_drift, k_fn=flat_integrand),
-    "doleans": ModelSpec(ModelTag.DOLEANS_CE, name="doleans"),
-    "bridge": ModelSpec(ModelTag.BRIDGE_CE, name="bridge"),
+    "exp_drift": models.WienerIntegral(
+        name="exp_drift", h_fn=log_drift, k_fn=flat_integrand),
+    "doleans": models.Doleans(name="doleans"),
+    "bridge": models.Bridge(name="bridge"),
 }
 
 DEFAULT_BATTERY = (

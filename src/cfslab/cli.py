@@ -24,7 +24,7 @@ from .core import (
     make_grid,
     tail_grid,
 )
-from .models import ModelTag, simulate
+from .models import FAMILIES, simulate
 from .smallball import SmallBallQuery, estimate_smallball
 from .suite import (
     CSV_HEADER,
@@ -65,37 +65,6 @@ _DEFAULTS: dict[str, object] = {
 
 _INT_KEYS = {"seed", "reps", "workers", "n_steps", "n_segments", "pilot_reps"}
 _FLOAT_KEYS = {"t_end", "t_frac", "amplitude", "epsilon", "amp_scale"}
-
-_TAG_LINES = {
-    ModelTag.BNS_PRICE:
-        "price with subordinator-driven mean-reverting variance"
-        " (decay, jump law, window)",
-    ModelTag.BRIDGE_CE:
-        "Brownian path whose history includes its own terminal value"
-        " (no parameters)",
-    ModelTag.COMTE_RENAULT_PRICE:
-        "price with exp(fractional Ornstein-Uhlenbeck) volatility"
-        " (hurst, alpha, sigma, v0)",
-    ModelTag.DOLEANS_CE:
-        "strictly positive exponential martingale exp(W_t - t/2)"
-        " (no parameters)",
-    ModelTag.MIXED_FBM:
-        "Brownian motion plus weighted independent fractional Brownian"
-        " motion (hurst, fbm_weight)",
-    ModelTag.REGIME_PRICE:
-        "price whose volatility follows a continuous-time Markov chain"
-        " (generator, vol_levels, start_state)",
-    ModelTag.SDE_PRICE:
-        "diffusion price with level-proportional coefficient bounds"
-        " (mu_fn, sigma_fn, mu_bar, sigma_bar)",
-    ModelTag.SV_PRICE:
-        "price with square-root stochastic variance and leverage"
-        " (kappa, theta, xi, v0, rho)",
-    ModelTag.WIENER_INTEGRAL:
-        "deterministic drift plus Wiener integral of a deterministic"
-        " integrand (h_fn, k_fn)",
-}
-
 
 def _parse_config_file(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
@@ -156,8 +125,8 @@ def _out_path(config, model_part: str, command: str, ext: str) -> str:
 
 
 def cmd_models(_config) -> int:
-    for tag in sorted(ModelTag, key=lambda t: t.value):
-        print(f"{tag.value:22s} {_TAG_LINES[tag]}")
+    for family in sorted(FAMILIES, key=lambda f: f.tag):
+        print(f"{family.tag:22s} {family.summary}")
     print()
     print("presets: " + ", ".join(catalog.preset_names()))
     return EXIT_OK

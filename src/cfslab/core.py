@@ -157,13 +157,6 @@ def constant_path(grid: TimeGrid, value: float) -> Path:
     return Path(grid, np.full(grid.n_nodes, float(value)))
 
 
-def sup_deviation(x: Path, f: Path, offset: float) -> float:
-    """Max over grid nodes of |x(t) - offset - f(t)|."""
-    if not grids_equal(x.grid, f.grid):
-        raise GridMismatch("x and f must share a grid")
-    return float(np.max(np.abs(x.values - offset - f.values)))
-
-
 # ---------------------------------------------------------------------------
 # RNG streams
 

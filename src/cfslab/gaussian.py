@@ -2,8 +2,8 @@
 
 Brownian motion (increment summation and midpoint refinement), fractional
 Brownian motion via dense Cholesky of the grid covariance, fractional
-Ornstein-Uhlenbeck by pathwise integration by parts, and Brownian bridge
-continuations.
+Ornstein-Uhlenbeck by pathwise integration by parts, and Brownian
+bridges.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from scipy.linalg.blas import dtrmm
 from .core import (
     BadParams,
     CovarianceNotPD,
-    GridMismatch,
     HurstOutOfRange,
     NotPowerOfTwo,
     Path,
@@ -184,13 +183,6 @@ def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray) -> np.nd
     return spec.v0 * np.exp(-spec.alpha * t) + spec.sigma * stoch
 
 
-def gen_fou(grid: TimeGrid, spec: FouSpec, rng: RngStream) -> Path:
-    if grid.t_start != 0.0:
-        raise BadParams("fOU grid must start at 0")
-    fbm = gen_fbm(grid, FbmSpec(spec.hurst), rng)
-    return Path(grid, fou_from_fbm(grid, spec, fbm.values))
-
-
 def bridge_steps(grid_tail: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean weights and noise scales of a Brownian bridge on the grid.
 
@@ -224,18 +216,3 @@ def bridge_paths(grid_tail: TimeGrid, start: float, terminal: float,
     z[..., -1] = terminal
     return z
 
-
-def gen_bridge_continuation(
-    history: Path, terminal_value: float, grid_tail: TimeGrid, rng: RngStream
-) -> Path:
-    """Brownian bridge from (t_under, history end) to (T, terminal_value).
-
-    This is the conditional law of Brownian motion on [t_under, T] given its
-    history and its terminal value. The final node equals terminal_value
-    exactly, for every seed.
-    """
-    if abs(history.grid.t_end - grid_tail.t_start) > 1e-12:
-        raise GridMismatch("grid_tail must start where history ends")
-    xi = rng.generator().standard_normal(grid_tail.n_steps)
-    return Path(grid_tail, bridge_paths(grid_tail, float(history.values[-1]),
-                                        terminal_value, xi))

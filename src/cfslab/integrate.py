@@ -38,15 +38,6 @@ def ito_integral(k: Path, w: Path) -> Path:
     return Path(k.grid, np.concatenate(([0.0], np.cumsum(inc))))
 
 
-def rs_integral(k: Path, x: Path) -> Path:
-    """Pathwise Riemann-Stieltjes integral of k against x.
-
-    Computed as the left-point sum; rs_parts_form gives the algebraically
-    equivalent integration-by-parts rearrangement.
-    """
-    return ito_integral(k, x)
-
-
 def rs_parts_form(k: Path, x: Path) -> Path:
     """J(t_j) = k_j x_j - k_0 x_0 - sum_{i<j} x_{i+1} (k_{i+1} - k_i)."""
     _require_shared_grid(k, x)

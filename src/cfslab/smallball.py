@@ -26,13 +26,15 @@ from .core import (
     make_grid,
 )
 from .integrate import qv_clock
-from .models import (
+from .models import (  # the REASON_ constants are re-exported
+    REASON_ENDPOINT_PIN,
+    REASON_POSITIVITY,
     ConditioningContext,
     ModelSpec,
-    ModelTag,
     _cumsum0,
     _fresh_normals,
     cell_noise_scale,
+    check_context,
     iter_continuations,
 )
 
@@ -79,10 +81,6 @@ class SmallBallQuery:
             raise BadQuery("target must vanish at the restart node")
 
 
-REASON_POSITIVITY = "POSITIVITY"
-REASON_ENDPOINT_PIN = "ENDPOINT_PIN"
-
-
 def detect_analytic_zero(
     spec: ModelSpec, ctx: ConditioningContext, q: SmallBallQuery
 ) -> str | None:
@@ -93,14 +91,7 @@ def detect_analytic_zero(
     bridge, the tube is empty when the target misses the pinned terminal
     increment by at least eps.
     """
-    if spec.positive_state:
-        if np.any(ctx.z_t + q.target.values + q.eps <= 0.0):
-            return REASON_POSITIVITY
-    if spec.tag is ModelTag.BRIDGE_CE:
-        pinned = float(ctx.frozen["terminal"]) - ctx.z_t
-        if abs(float(q.target.values[-1]) - pinned) >= q.eps:
-            return REASON_ENDPOINT_PIN
-    return None
+    return spec.analytic_zero(ctx, q.target.values, q.eps)
 
 
 def estimate_many(
@@ -110,7 +101,6 @@ def estimate_many(
     reps: int,
     rng: RngStream,
     chunk_size: int = 1024,
-    z: float = 1.96,
 ) -> list[Estimate]:
     """Estimate several tube queries on shared conditional continuations.
 
@@ -136,6 +126,7 @@ def estimate_many(
     grid_tail = queries[0].target.grid
     if not all(grids_equal(q.target.grid, grid_tail) for q in queries):
         raise BadQuery("queries must share one tail grid")
+    check_context(spec, ctx, grid_tail)
     reasons = [detect_analytic_zero(spec, ctx, q) for q in queries]
     live = [i for i, r in enumerate(reasons) if r is None]
     hits = np.zeros(len(queries), dtype=np.int64)
@@ -177,7 +168,7 @@ def estimate_many(
                         hits[live[row]] += int(
                             np.count_nonzero(u[idx, gi] < surv))
     return [
-        make_estimate(int(hits[i]), reps, z, analytic_zero_reason=reasons[i])
+        make_estimate(int(hits[i]), reps, analytic_zero_reason=reasons[i])
         for i in range(len(queries))
     ]
 

@@ -22,14 +22,14 @@ from cfslab.gaussian import (
     gen_brownian,
     gen_brownian_alt,
 )
-from cfslab.integrate import ito_integral, rs_integral, rs_parts_form
+from cfslab.integrate import ito_integral, rs_parts_form
 from cfslab.jumps import (
     BnsSpec,
     SubordinatorKind,
     SubordinatorSpec,
     gen_bns_vol,
 )
-from cfslab.models import ModelSpec, ModelTag, simulate
+from cfslab.models import WienerIntegral, simulate
 from cfslab.smallball import (
     SmallBallQuery,
     brownian_smallball_series,
@@ -91,7 +91,7 @@ def test_criterion_1_brownian_oracle():
 
 def test_criterion_2_time_change_equivalence():
     grid = make_grid(0.0, 1.0, N_STEPS)
-    spec = ModelSpec(ModelTag.WIENER_INTEGRAL, k_fn=affine_integrand)
+    spec = WienerIntegral(k_fn=affine_integrand)
     rng = RngStream(1002, 0)
     _, ctx = simulate(spec, grid, rng.child(0), 0)
     f = constant_path(grid, 0.0)
@@ -167,7 +167,7 @@ def test_criterion_5_integration_identities():
                        float(np.max(np.abs(lhs - rhs) / (eps_mach * scale))))
         # discrete integration-by-parts identity at the same resolution;
         # its conditioning scale includes the boundary product and both sums
-        direct = rs_integral(k1, w).values
+        direct = ito_integral(k1, w).values
         parts = rs_parts_form(k1, w).values
         v = np.abs(w.values - w.values[0])
         pmag = np.maximum.reduce([

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from cfslab.cli import EXIT_CONFIG, EXIT_OK, main
-from cfslab.models import ModelTag
+from cfslab.models import FAMILIES
 
 
 def run(argv, capsys):
@@ -20,7 +20,7 @@ class TestModelsCommand:
         assert code == EXIT_OK
         listed = [line.split()[0] for line in out.splitlines()
                   if line and not line.startswith("presets")]
-        tags = sorted(t.value for t in ModelTag)
+        tags = sorted(f.tag for f in FAMILIES)
         assert listed == tags
 
 

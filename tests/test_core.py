@@ -13,11 +13,9 @@ from cfslab.core import (
     RngStream,
     ZeroReps,
     ZeroSteps,
-    constant_path,
     grids_equal,
     make_estimate,
     make_grid,
-    sup_deviation,
     tail_grid,
     wilson_interval,
 )
@@ -65,14 +63,6 @@ class TestPath:
         g = make_grid(0.0, 1.0, 2)
         with pytest.raises(BadParams):
             Path(g, np.array([0.0, np.nan, 1.0]))
-
-    def test_sup_deviation(self):
-        g = make_grid(0.0, 1.0, 2)
-        x = Path(g, np.array([1.0, 2.0, 3.0]))
-        f = constant_path(g, 0.0)
-        # max over nodes of |x - offset - f|
-        assert sup_deviation(x, f, 0.0) == pytest.approx(3.0)
-        assert sup_deviation(x, f, 2.0) == pytest.approx(1.0)
 
 
 class TestRngStream:

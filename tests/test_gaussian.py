@@ -14,15 +14,14 @@ from cfslab.core import (
 from cfslab.gaussian import (
     FbmSpec,
     FouSpec,
+    bridge_paths,
     bridge_steps,
     fbm_conditional_factors,
     fbm_covariance,
     fou_from_fbm,
-    gen_bridge_continuation,
     gen_brownian,
     gen_brownian_alt,
     gen_fbm,
-    gen_fou,
 )
 
 GRID = make_grid(0.0, 1.0, 64)
@@ -122,6 +121,11 @@ class TestFbm:
         assert np.allclose(ell @ ell.T, cov, atol=1e-10)
 
 
+def _fou(grid, spec, rng):
+    """The fOU path the comte_renault model builds from its fBm driver."""
+    return fou_from_fbm(grid, spec, gen_fbm(grid, FbmSpec(spec.hurst), rng).values)
+
+
 class TestFou:
     def test_deterministic_decay_with_zero_noise(self):
         grid = make_grid(0.0, 1.0, 256)
@@ -131,14 +135,14 @@ class TestFou:
 
     def test_gen_fou_starts_at_v0(self):
         grid = make_grid(0.0, 1.0, 32)
-        p = gen_fou(grid, FouSpec(0.6, 1.0, 0.5, v0=-0.3), RngStream(2, 0))
-        assert p.values[0] == pytest.approx(-0.3)
+        v = _fou(grid, FouSpec(0.6, 1.0, 0.5, v0=-0.3), RngStream(2, 0))
+        assert v[0] == pytest.approx(-0.3)
 
     def test_mean_reversion_pulls_toward_zero(self):
         grid = make_grid(0.0, 4.0, 512)
         spec = FouSpec(hurst=0.7, alpha=5.0, sigma=0.2, v0=2.0)
         finals = np.array(
-            [gen_fou(grid, spec, RngStream(8, 0).child(r)).values[-1]
+            [_fou(grid, spec, RngStream(8, 0).child(r))[-1]
              for r in range(200)]
         )
         assert abs(np.mean(finals)) < 0.5
@@ -156,19 +160,16 @@ class TestBridge:
         tail = tail_grid(grid, 4)
         history_grid = make_grid(0.0, tail.t_start, 4)
         history = gen_brownian(history_grid, RngStream(6, 1))
-        p = gen_bridge_continuation(history, 1.234, tail, RngStream(6, 0))
-        assert p.values[0] == history.values[-1]
-        assert p.values[-1] == 1.234  # bit-exact pin
+        xi = RngStream(6, 0).generator().standard_normal(tail.n_steps)
+        p = bridge_paths(tail, float(history.values[-1]), 1.234, xi)
+        assert p[0] == history.values[-1]
+        assert p[-1] == 1.234  # bit-exact pin
 
     def test_midpoint_variance(self):
         tail = make_grid(0.0, 1.0, 16)
-        from cfslab.core import Path
-        history = Path(make_grid(-1.0, 0.0, 1), np.zeros(2))
-        mids = np.array(
-            [gen_bridge_continuation(history, 0.0, tail,
-                                     RngStream(4, 0).child(r)).values[8]
-             for r in range(3000)]
-        )
+        xi = np.stack([RngStream(4, 0).child(r).generator().standard_normal(16)
+                       for r in range(3000)])
+        mids = bridge_paths(tail, 0.0, 0.0, xi)[:, 8]
         # bridge variance at t = 1/2 over [0,1] is 1/4
         assert np.var(mids) == pytest.approx(0.25, rel=0.15)
         assert abs(np.mean(mids)) < 4 * 0.5 / np.sqrt(3000)

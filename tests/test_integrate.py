@@ -11,7 +11,6 @@ from cfslab.integrate import (
     doleans_exp,
     ito_integral,
     qv_clock,
-    rs_integral,
     rs_parts_form,
 )
 
@@ -64,7 +63,7 @@ class TestRsIntegral:
         t = np.asarray(GRID.nodes)
         k = Path(GRID, np.cos(3.0 * t))
         for x in _paths(4, 50):
-            direct = rs_integral(k, x).values
+            direct = ito_integral(k, x).values
             parts = rs_parts_form(k, x).values
             err = np.abs(direct - parts)
             scale = np.maximum(np.abs(parts), 1.0)
@@ -75,7 +74,7 @@ class TestRsIntegral:
         t = np.asarray(grid.nodes)
         k = Path(grid, t)
         x = Path(grid, t ** 2)  # int s d(s^2) = 2/3 on [0,1]
-        assert rs_integral(k, x).values[-1] == pytest.approx(2.0 / 3.0, abs=1e-3)
+        assert ito_integral(k, x).values[-1] == pytest.approx(2.0 / 3.0, abs=1e-3)
 
 
 class TestQvClock:

@@ -1,4 +1,6 @@
 """Simulation, conditional continuation, and support validation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,15 @@ from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
 from cfslab.core import BadParams, FellerWarning, RngStream, make_grid, tail_grid
 from cfslab.jumps import CtmcSpec
 from cfslab.models import (
+    FAMILIES,
+    Bns,
     CirSpec,
+    Heston,
     HkMode,
-    ModelSpec,
-    ModelTag,
+    MixedFbm,
+    Regime,
+    SdePrice,
+    WienerIntegral,
     cell_noise_scale,
     continue_conditional,
     iter_continuations,
@@ -54,14 +61,15 @@ class TestSimulate:
                 p, _ = simulate(spec, GRID, RngStream(4, 0).child(r), 0)
                 assert np.all(p.values > 0.0)
 
-    def test_log_price_starts_at_log_p0(self):
-        spec = get_preset("heston")
-        p, _ = simulate(spec, GRID, RngStream(5, 0), 0)
-        assert p.values[0] == pytest.approx(np.log(spec.p0))
+    @pytest.mark.parametrize("name", ["heston", "bns", "sde"])
+    def test_log_price_starts_at_zero(self, name):
+        # price families report the log price, started at log 1 = 0
+        p, _ = simulate(get_preset(name), GRID, RngStream(5, 0), 0)
+        assert p.values[0] == 0.0
 
     def test_feller_warning(self):
-        spec = ModelSpec(ModelTag.SV_PRICE, name="bad_feller", rho=0.0,
-                         cir=CirSpec(kappa=0.5, theta=0.02, xi=0.5, v0=0.02))
+        spec = Heston(name="bad_feller", rho=0.0,
+                      cir=CirSpec(kappa=0.5, theta=0.02, xi=0.5, v0=0.02))
         with pytest.warns(FellerWarning):
             simulate(spec, GRID, RngStream(6, 0), 0)
 
@@ -155,7 +163,7 @@ class TestRegimeState:
                     vol_levels=(0.2, 0.3, 0.2))
 
     def test_frozen_state_is_the_chains_state(self):
-        spec = ModelSpec(ModelTag.REGIME_PRICE, ctmc=self.CTMC)
+        spec = Regime(ctmc=self.CTMC)
         _, ctx = simulate(spec, GRID, RngStream(17, 0), MID)
         state = ctx.frozen["state"]
         assert state[0] == 0 and state[-1] == 2
@@ -164,8 +172,7 @@ class TestRegimeState:
 
     def test_redraw_continues_from_the_chains_state(self):
         # from the absorbing state the redrawn volatility is 0.2 throughout
-        spec = ModelSpec(ModelTag.REGIME_PRICE, ctmc=self.CTMC,
-                         hk_mode=HkMode.REDRAW)
+        spec = Regime(ctmc=self.CTMC, hk_mode=HkMode.REDRAW)
         _, ctx = simulate(spec, GRID, RngStream(17, 0), MID)
         tail = tail_grid(GRID, MID)
         p = continue_conditional(spec, ctx, tail, RngStream(17, 1))
@@ -210,12 +217,34 @@ class TestValidateSpec:
 
     def test_spec_validation_errors(self):
         with pytest.raises(BadParams):
-            ModelSpec(ModelTag.MIXED_FBM, hurst=0.0)
+            MixedFbm(hurst=0.0)
         with pytest.raises(BadParams):
-            ModelSpec(ModelTag.SV_PRICE, rho=1.0)
-        with pytest.raises(BadParams):
-            ModelSpec(ModelTag.BNS_PRICE)
-        with pytest.raises(BadParams):
-            ModelSpec(ModelTag.SDE_PRICE)
-        with pytest.raises(BadParams):
-            ModelSpec(ModelTag.WIENER_INTEGRAL)
+            Heston(rho=1.0, cir=CirSpec(kappa=3.0, theta=0.04, xi=0.2, v0=0.04))
+        # a family's required parameters are required keyword arguments
+        with pytest.raises(TypeError):
+            Bns()
+        with pytest.raises(TypeError):
+            SdePrice()
+        with pytest.raises(TypeError):
+            WienerIntegral()
+
+
+class TestFamilies:
+    def test_presets_cover_every_family(self):
+        # so the preset-parametrized simulate, continuation and chunk tests
+        # exercise every family
+        assert {type(get_preset(n)) for n in preset_names()} == set(FAMILIES)
+
+    def test_unnamed_spec_takes_its_tag(self):
+        assert Bns(bns=get_preset("bns").bns).name == "BNS_PRICE"
+
+    @pytest.mark.parametrize("name", ["bns", "comte_renault", "regime"])
+    def test_independent_volatility_has_no_leverage(self, name):
+        # only Heston correlates its volatility driver with W; the other
+        # volatility families neither take rho nor draw leverage noise
+        spec = get_preset(name)
+        assert "rho" not in {f.name for f in dataclasses.fields(spec)}
+        _, ctx = simulate(spec, GRID, RngStream(18, 0), MID)
+        assert "db" not in ctx.frozen
+        assert "db" in simulate(get_preset("heston"), GRID,
+                                RngStream(18, 0), MID)[1].frozen

@@ -8,6 +8,7 @@ from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
     BadQuery,
     Classification,
+    IncompatibleContext,
     DegenerateClock,
     Path,
     RngStream,
@@ -16,7 +17,7 @@ from cfslab.core import (
     tail_grid,
 )
 from cfslab.gaussian import gen_brownian
-from cfslab.models import ModelSpec, ModelTag, simulate
+from cfslab.models import WienerIntegral, simulate
 from cfslab.smallball import (
     REASON_ENDPOINT_PIN,
     REASON_POSITIVITY,
@@ -99,6 +100,17 @@ class TestAnalyticZero:
         q = SmallBallQuery(128, miss, 0.5)
         assert detect_analytic_zero(spec, ctx, q) == REASON_ENDPOINT_PIN
 
+    def test_context_checked_before_detection(self):
+        # every query is an analytic zero, yet its [0, 5] grid does not
+        # extend the context's [0, 1] grid
+        spec, ctx = _ctx("doleans")
+        grid5 = make_grid(0.0, 5.0, 256)
+        down = Path(grid5, np.linspace(0.0, -(ctx.z_t + 1.0), grid5.n_nodes))
+        q = SmallBallQuery(0, down, 0.5)
+        assert detect_analytic_zero(spec, ctx, q) == REASON_POSITIVITY
+        with pytest.raises(IncompatibleContext):
+            estimate_many(spec, ctx, [q], 10, RngStream(2, 1))
+
     def test_no_reason_for_feasible_tube(self):
         spec, ctx = _ctx("brownian")
         q = SmallBallQuery(0, constant_path(GRID, 0.0), 0.5)
@@ -170,7 +182,7 @@ class TestTimechanged:
             timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
 
     def test_agrees_with_direct_estimator(self):
-        spec = ModelSpec(ModelTag.WIENER_INTEGRAL, k_fn=affine_integrand)
+        spec = WienerIntegral(k_fn=affine_integrand)
         _, ctx = simulate(spec, GRID, RngStream(11, 0), 0)
         f = constant_path(GRID, 0.0)
         direct = estimate_smallball(spec, ctx, SmallBallQuery(0, f, 1.0),
