@@ -12,6 +12,9 @@ With BLAS pinned to one thread, runs at fixed seeds:
   0 and 128 of 256 steps;
 - raw history and continuation bytes of every preset at restarts 0 and
   128 of 256 steps;
+- raw REDRAW continuations of `bns` and `regime` at 2100 replications
+  (three chunks of 1024), so per-row streams cross chunk boundaries;
+- `repr` of a `timechanged_smallball` estimate at 3000 replications;
 - the stdout of `cfslab models`;
 - `repr(validate_spec(spec))` for every preset;
 
@@ -47,7 +50,9 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cfslab import catalog  # noqa: E402
+import numpy as np  # noqa: E402
+
+from cfslab import catalog, core  # noqa: E402
 from cfslab.cli import main as cli_main  # noqa: E402
 from cfslab.core import RngStream, make_grid, tail_grid  # noqa: E402
 from cfslab.models import (  # noqa: E402
@@ -56,6 +61,7 @@ from cfslab.models import (  # noqa: E402
     simulate,
     validate_spec,
 )
+from cfslab.smallball import timechanged_smallball  # noqa: E402
 
 SEED = 11
 COARSE = "t_fracs = 0.0,0.25,0.5,0.75\nn_steps = 256\n"
@@ -94,6 +100,9 @@ def write_outputs(out: Path) -> None:
                                    hk_mode=HkMode.REDRAW)
         _write_raw(out / f"{name}_redraw.bin", spec, (128,), history=False)
         _write_raw(out / f"{name}_redraw_0.bin", spec, (0,), history=False)
+        if name != "comte_renault":
+            _write_raw(out / f"{name}_redraw_2100.bin", spec, (128,),
+                       history=False, reps=2100)
     for name in ("heston", "mixed_fbm_h075"):
         spec = dataclasses.replace(catalog.get_preset(name),
                                    hk_mode=HkMode.FIXED)
@@ -103,6 +112,11 @@ def write_outputs(out: Path) -> None:
         _write_raw(out / f"{name}_raw.bin", spec, (0, 128), history=True)
         (out / f"{name}_validate.txt").write_text(
             repr(validate_spec(spec)) + "\n", encoding="utf-8")
+    grid = make_grid(0.0, 1.0, 512)
+    k = core.Path(grid, 1.0 + 0.5 * np.sin(3.0 * np.asarray(grid.nodes)))
+    f = core.Path(grid, 0.3 * np.asarray(grid.nodes))
+    est = timechanged_smallball(k, f, 1.2, 3000, RngStream(SEED, 3))
+    (out / "timechanged.txt").write_text(repr(est) + "\n", encoding="utf-8")
     listing = io.StringIO()
     with contextlib.redirect_stdout(listing):
         rc = cli_main(["models"])
@@ -111,8 +125,9 @@ def write_outputs(out: Path) -> None:
     (out / "models.txt").write_text(listing.getvalue(), encoding="utf-8")
 
 
-def _write_raw(path: Path, spec, t_indices, history: bool) -> None:
-    """Raw bytes of 64 continuations (and, with `history`, the simulated
+def _write_raw(path: Path, spec, t_indices, history: bool,
+               reps: int = 64) -> None:
+    """Raw bytes of `reps` continuations (and, with `history`, the simulated
     path and its frozen history) from each restart node of a 2^8-step grid."""
     grid = make_grid(0.0, 1.0, 256)
     with open(path, "wb") as fh:
@@ -123,7 +138,7 @@ def _write_raw(path: Path, spec, t_indices, history: bool) -> None:
                 fh.write(z.values.tobytes())
                 fh.write(ctx.z_values.tobytes())
             for _, block in iter_continuations(
-                    spec, ctx, tail_grid(grid, t_index), rng.child(1), 64):
+                    spec, ctx, tail_grid(grid, t_index), rng.child(1), reps):
                 fh.write(block.tobytes())
 
 

@@ -68,23 +68,31 @@ class BnsSpec:
 
 @dataclass(frozen=True)
 class CtmcSpec:
-    """Regime-switching volatility: per-state levels, exponential holding."""
+    """Regime-switching volatility: per-state levels, exponential holding.
 
-    generator: np.ndarray
-    vol_levels: np.ndarray
+    `generator` and `vol_levels` are held as read-only arrays; specs compare
+    and hash by their values (`_values`), so a spec survives a pickle round
+    trip equal to itself and can key a dict.
+    """
+
+    generator: np.ndarray = field(compare=False)
+    vol_levels: np.ndarray = field(compare=False)
     initial_state: int = 0
+    _values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.generator, dtype=float)
         v = np.asarray(self.vol_levels, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise BadGenerator("generator must be a square matrix")
+        if not np.all(np.isfinite(q)):
+            raise BadGenerator("generator entries must be finite")
         off = q - np.diag(np.diag(q))
         if np.any(off < 0):
             raise BadGenerator("off-diagonal generator entries must be >= 0")
         if np.max(np.abs(q.sum(axis=1))) > 1e-12:
             raise BadGenerator("generator rows must sum to 0 within 1e-12")
-        if v.shape != (q.shape[0],) or np.any(v <= 0):
+        if v.shape != (q.shape[0],) or not np.all(np.isfinite(v) & (v > 0)):
             raise BadParams("vol_levels must be positive, one per state")
         if not 0 <= self.initial_state < q.shape[0]:
             raise BadParams("initial_state out of range")
@@ -92,6 +100,12 @@ class CtmcSpec:
         v.setflags(write=False)
         object.__setattr__(self, "generator", q)
         object.__setattr__(self, "vol_levels", v)
+        object.__setattr__(self, "_values", (
+            tuple(map(tuple, q.tolist())), tuple(v.tolist())))
+
+    def __reduce__(self):
+        # rebuilt through __init__: validated, read-only arrays again
+        return type(self), (self.generator, self.vol_levels, self.initial_state)
 
     @property
     def n_states(self) -> int:

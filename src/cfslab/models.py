@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     Path,
     RngStream,
     TimeGrid,
+    generators,
     grids_equal,
     tail_grid,
 )
@@ -118,15 +119,16 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fresh_normals(streams: list[RngStream], m: int, n_sources: int) -> list[np.ndarray]:
+def _fresh_normals(streams: Sequence[RngStream], m: int,
+                   n_sources: int) -> list[np.ndarray]:
     """Per-replication standard normals, one row per stream.
 
     Each replication draws from its own counter-based stream in a fixed
     source order, so results do not depend on chunking or worker count.
     """
     flat = np.empty((len(streams), n_sources * m))
-    for r, s in enumerate(streams):
-        flat[r] = s.generator().standard_normal(n_sources * m)
+    for row, gen in zip(flat, generators(streams)):
+        gen.standard_normal(out=row)
     return [flat[:, i * m : (i + 1) * m] for i in range(n_sources)]
 
 
@@ -329,9 +331,8 @@ class _VolPrice(ModelSpec):
         dw = np.empty((n, m))
         gm = np.empty((n, m))
         sdt = np.sqrt(dt)
-        for r, s in enumerate(streams):
-            gen = s.generator()
-            dw[r] = gen.standard_normal(m)
+        for r, gen in enumerate(generators(streams)):
+            gen.standard_normal(out=dw[r])
             gm[r] = self._markov_vol(ctx, grid_tail, gen)
         dw *= sdt
         dw *= gm
@@ -691,15 +692,15 @@ def iter_continuations(
     """
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
-        streams = [rng.child(r) for r in range(start, stop)]
-        yield start, continue_chunk(spec, ctx, grid_tail, streams)
+        yield start, continue_chunk(
+            spec, ctx, grid_tail, rng.children(range(start, stop)))
 
 
 def continue_chunk(
     spec: ModelSpec,
     ctx: ConditioningContext,
     grid_tail: TimeGrid,
-    streams: list[RngStream],
+    streams: Sequence[RngStream],
 ) -> np.ndarray:
     """Continuations for a batch of replication streams; one row each."""
     check_context(spec, ctx, grid_tail)

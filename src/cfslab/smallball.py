@@ -48,21 +48,31 @@ def _bridge_survival(d: np.ndarray, eps: float, s2: np.ndarray) -> np.ndarray:
     each cell the path is a Brownian bridge with variance s2, so the exit
     probability is the classical single-barrier reflection term for each
     tube edge. Zero-variance cells cannot exit.
+
+    A cell whose two nodes lie within eps - reach of the centre, with
+    reach = sqrt(19 max s2), has both terms below e^-38 < 2^-54, so its
+    factor rounds to exactly 1.0; only the other cells are evaluated.
     """
-    a, b = d[:, :-1], d[:, 1:]
     with np.errstate(divide="ignore"):
         inv = np.where(s2 > 0.0, 1.0 / np.where(s2 > 0.0, s2, 1.0), np.inf)
+    near = np.abs(d) > eps - np.sqrt(19.0 * s2.max())
+    rows, cells = np.nonzero(near[:, :-1] | near[:, 1:])
+    a, b, inv = d[rows, cells], d[rows, cells + 1], inv[cells]
     p_up = np.exp(-2.0 * (eps - a) * (eps - b) * inv)
     p_dn = np.exp(-2.0 * (eps + a) * (eps + b) * inv)
-    return np.prod(np.clip(1.0 - p_up - p_dn, 0.0, 1.0), axis=1)
+    factor = np.ones((d.shape[0], d.shape[1] - 1))
+    factor[rows, cells] = np.clip(1.0 - p_up - p_dn, 0.0, 1.0)
+    return np.prod(factor, axis=1)
 
 
 def _thinning_uniforms(rng: RngStream, start: int, n_rows: int,
                        n_groups: int) -> np.ndarray:
+    """One uniform per target group for replications start, ..., start +
+    n_rows - 1, replication r from the stream rng.child(r).child(_THIN_STREAM)."""
     u = np.empty((n_rows, n_groups))
-    for row in range(n_rows):
-        g = rng.child(start + row).child(_THIN_STREAM).generator()
-        u[row] = g.uniform(size=n_groups)
+    streams = rng.children(range(start, start + n_rows), (_THIN_STREAM,))
+    for out, gen in zip(u, streams.generators()):
+        gen.random(out=out)
     return u
 
 
@@ -138,35 +148,31 @@ def estimate_many(
         groups: dict[bytes, int] = {}
         group_of = [groups.setdefault(targets[row].tobytes(), len(groups))
                     for row in range(len(live))]
-        members: list[list[int]] = [[] for _ in range(len(groups))]
-        for row, gi in enumerate(group_of):
-            members[gi].append(row)
+        first = [group_of.index(gi) for gi in range(len(groups))]
         buf: np.ndarray | None = None
         for start, block in iter_continuations(
             spec, ctx, grid_tail, rng, reps, chunk_size
         ):
             rel = block - block[:, :1]
-            u = (None if s2 is None else
-                 _thinning_uniforms(rng, start, block.shape[0], len(groups)))
             if buf is None or buf.shape != rel.shape:
                 buf = np.empty_like(rel)
             # One deviation pass per distinct target; queries differing only
             # in eps reuse it, which keeps hit sets nested across radii.
-            for gi, rows in enumerate(members):
-                np.subtract(rel, targets[rows[0]][None, :], out=buf)
-                if s2 is None:
-                    np.abs(buf, out=buf)
-                    dev = buf.max(axis=1)
-                    for row in rows:
-                        hits[live[row]] += int(np.count_nonzero(dev < eps[row]))
-                else:
-                    dev = np.abs(buf).max(axis=1)
-                    for row in rows:
-                        e = float(eps[row])
-                        idx = np.nonzero(dev < e)[0]
-                        surv = _bridge_survival(buf[idx], e, s2)
-                        hits[live[row]] += int(
-                            np.count_nonzero(u[idx, gi] < surv))
+            dev = np.empty((len(groups), rel.shape[0]))
+            for gi in range(len(groups)):
+                np.subtract(rel, targets[first[gi]][None, :], out=buf)
+                np.abs(buf, out=buf)
+                buf.max(axis=1, out=dev[gi])
+            if s2 is None:
+                for row, gi in enumerate(group_of):
+                    hits[live[row]] += int(np.count_nonzero(dev[gi] < eps[row]))
+                continue
+            u = _thinning_uniforms(rng, start, rel.shape[0], len(groups))
+            for row, gi in enumerate(group_of):
+                e = float(eps[row])
+                idx = np.nonzero(dev[gi] < e)[0]
+                surv = _bridge_survival(rel[idx] - targets[row], e, s2)
+                hits[live[row]] += int(np.count_nonzero(u[idx, gi] < surv))
     return [
         make_estimate(int(hits[i]), reps, analytic_zero_reason=reasons[i])
         for i in range(len(queries))
@@ -235,8 +241,8 @@ def timechanged_smallball(
     s2 = np.full(grid_u.n_steps, grid_u.dt)
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
-        streams = [rng.child(r) for r in range(start, stop)]
-        (xi,) = _fresh_normals(streams, grid_u.n_steps, 1)
+        (xi,) = _fresh_normals(rng.children(range(start, stop)),
+                               grid_u.n_steps, 1)
         d = _cumsum0(xi * sdt) - target_u[None, :]
         inside = np.max(np.abs(d), axis=1) < eps
         idx = np.nonzero(inside)[0]

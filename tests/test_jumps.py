@@ -103,6 +103,14 @@ class TestCtmc:
             CtmcSpec(generator=((-1.0, 1.0), (1.0, -1.0)),
                      vol_levels=(0.1, -0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # a NaN rate used to pass validation and make ctmc_states loop forever
+        with pytest.raises(BadGenerator):
+            CtmcSpec(generator=((bad, 1.0), (1.0, -1.0)), vol_levels=(0.1, 0.2))
+        with pytest.raises(BadParams):
+            CtmcSpec(generator=((-1.0, 1.0), (1.0, -1.0)), vol_levels=(0.1, bad))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_reproducible(self, seed):

@@ -1,5 +1,6 @@
 """Simulation, conditional continuation, and support validation."""
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -230,6 +231,23 @@ class TestValidateSpec:
 
 
 class TestFamilies:
+    @pytest.mark.parametrize("name", preset_names())
+    def test_spec_hashable_and_equal_after_pickle(self, name):
+        spec = get_preset(name)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert hash(copy) == hash(spec)
+
+    def test_ctmc_compares_by_value(self):
+        a = CtmcSpec(generator=((-1.0, 1.0), (2.0, -2.0)), vol_levels=(0.1, 0.3))
+        b = CtmcSpec(generator=np.array([[-1.0, 1.0], [2.0, -2.0]]),
+                     vol_levels=[0.1, 0.3])
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, initial_state=1)
+        assert a != CtmcSpec(generator=a.generator, vol_levels=(0.1, 0.4))
+        copy = pickle.loads(pickle.dumps(a))
+        assert not copy.vol_levels.flags.writeable
+
     def test_presets_cover_every_family(self):
         # so the preset-parametrized simulate, continuation and chunk tests
         # exercise every family

@@ -17,8 +17,9 @@ from cfslab.core import (
     tail_grid,
 )
 from cfslab.gaussian import gen_brownian
-from cfslab.models import WienerIntegral, simulate
+from cfslab.models import WienerIntegral, cell_noise_scale, simulate
 from cfslab.smallball import (
+    _bridge_survival,
     REASON_ENDPOINT_PIN,
     REASON_POSITIVITY,
     SmallBallQuery,
@@ -166,6 +167,87 @@ class TestEstimator:
         q = SmallBallQuery(0, constant_path(GRID, 0.0), 100.0)
         est = estimate_smallball(spec, ctx, q, 500, RngStream(8, 1))
         assert est.hits == 500
+
+
+def _cumsum_rows(x):
+    out = np.zeros((x.shape[0], x.shape[1] + 1))
+    np.cumsum(x, axis=1, out=out[:, 1:])
+    return out
+
+
+def _survival_reference(d, eps, s2):
+    """Both reflection terms on every cell: the formula `_bridge_survival`
+    prunes."""
+    a, b = d[:, :-1], d[:, 1:]
+    with np.errstate(divide="ignore"):
+        inv = np.where(s2 > 0.0, 1.0 / np.where(s2 > 0.0, s2, 1.0), np.inf)
+    p_up = np.exp(-2.0 * (eps - a) * (eps - b) * inv)
+    p_dn = np.exp(-2.0 * (eps + a) * (eps + b) * inv)
+    return np.prod(np.clip(1.0 - p_up - p_dn, 0.0, 1.0), axis=1)
+
+
+class TestBridgeSurvival:
+    """The pruned survival product is bit-identical to the full formula."""
+
+    EPS = 0.8
+
+    def _rows(self, s2, n=400, seed=0):
+        # random walks with the cell variances, kept if inside the tube,
+        # plus rows hugging each edge and rows far from both
+        gen = np.random.default_rng(seed)
+        walks = _cumsum_rows(gen.standard_normal((n, s2.size)) * np.sqrt(s2))
+        inside = walks[np.max(np.abs(walks), axis=1) < self.EPS]
+        m = s2.size + 1
+        hug = self.EPS * (1.0 - 1e-3 * gen.uniform(size=(20, m)))
+        hug[10:] *= -1.0
+        far = 0.1 * self.EPS * gen.uniform(-1.0, 1.0, size=(20, m))
+        return np.concatenate((inside, hug, far))
+
+    def _check(self, d, s2):
+        got = _bridge_survival(d, self.EPS, s2)
+        assert got.shape == (d.shape[0],)
+        assert np.array_equal(got, _survival_reference(d, self.EPS, s2))
+
+    def test_uniform_scale(self):
+        s2 = np.full(256, 1.0 / 256)
+        d = self._rows(s2)
+        reach = np.sqrt(19.0 * s2.max())
+        assert np.any(np.abs(d) <= self.EPS - reach)  # some cells are pruned
+        assert np.any(np.abs(d) > self.EPS - reach)
+        self._check(d, s2)
+
+    def test_nodes_exactly_at_threshold(self):
+        s2 = np.full(64, 1.0 / 64)
+        edge = self.EPS - np.sqrt(19.0 * s2.max())
+        gen = np.random.default_rng(1)
+        d = np.choose(gen.integers(0, 3, size=(50, 65)),
+                      (np.full((50, 65), edge), np.full((50, 65), -edge),
+                       gen.uniform(-self.EPS, self.EPS, size=(50, 65)) * 0.999))
+        self._check(d, s2)
+        self._check(np.full((3, 65), edge), s2)
+
+    def test_zero_variance_cells(self):
+        s2 = np.full(128, 1.0 / 128)
+        s2[::3] = 0.0
+        self._check(self._rows(s2, seed=2), s2)
+        zero = np.zeros(128)
+        d = self._rows(np.full(128, 1.0 / 128), seed=3)
+        assert np.array_equal(_bridge_survival(d, self.EPS, zero),
+                              np.ones(d.shape[0]))
+        self._check(d, zero)
+
+    def test_wiener_affine_scales(self):
+        spec = get_preset("wiener_affine")
+        grid = make_grid(0.0, 1.0, 256)
+        _, ctx = simulate(spec, grid, RngStream(4, 0), 64)
+        s2 = cell_noise_scale(spec, ctx, tail_grid(grid, 64)) ** 2
+        assert np.ptp(s2) > 0.0
+        self._check(self._rows(s2, seed=4), s2)
+
+    def test_empty_row_set(self):
+        s2 = np.full(32, 1.0 / 32)
+        got = _bridge_survival(np.empty((0, 33)), self.EPS, s2)
+        assert got.shape == (0,)
 
 
 class TestTimechanged:
