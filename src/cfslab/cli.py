@@ -9,6 +9,7 @@ error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -85,16 +86,23 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
+    return value
+
+
 def _coerce(key: str, value: object):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
+    if isinstance(value, str):
+        try:
+            if key in _INT_KEYS:
+                return int(value)
+            if key in _FLOAT_KEYS:
+                value = float(value)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
+    if key in _FLOAT_KEYS:
+        return _finite(value, key)
     return value
 
 
@@ -103,7 +111,8 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     config = dict(_DEFAULTS)
     if args.config is not None:
         config.update(_parse_config_file(args.config))
-    for key in ("seed", "reps", "workers", "out", "format"):
+    for key in ("seed", "reps", "workers", "out", "format",
+                "model", "epsilon", "t_frac"):
         flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
@@ -168,7 +177,7 @@ def _parse_floats(text: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: cannot parse {text!r}") from None
     if not vals:
         raise ConfigError(f"key {key!r}: empty list")
-    return vals
+    return tuple(_finite(v, key) for v in vals)
 
 
 def cmd_battery(config) -> int:
@@ -201,7 +210,8 @@ def cmd_battery(config) -> int:
         written.append(path)
     for name in names:
         print(f"{name}: {report.verdicts[name]}")
-    print(f"{report.total_reps} replications in {report.wall_clock:.1f} s")
+    print(f"{report.total_reps} replications in {report.wall_clock:.1f} s "
+          f"on {report.workers_used} worker(s), {config['workers']} requested")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -222,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="master seed (u64)")
         p.add_argument("--reps", type=int, help="Monte Carlo replications")
-        p.add_argument("--workers", type=int, help="parallel workers")
+        p.add_argument("--workers", type=int, help=(
+            "unused: smallball runs on one thread" if name == "smallball"
+            else "parallel workers, at most the CPU count"))
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json", "plotdata"],
                        help="extra report format")
@@ -241,10 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args)
         if args.command == "smallball":
-            for key in ("model", "epsilon", "t_frac"):
-                flag = getattr(args, key, None)
-                if flag is not None:
-                    config[key] = flag
             return cmd_smallball(config)
         return cmd_battery(config)
     except ConfigError as exc:

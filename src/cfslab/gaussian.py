@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrmm
 
 from .core import (
@@ -89,8 +90,8 @@ def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
     """R(s, t) = (s^2h + t^2h - |t - s|^2h) / 2 on the given times."""
     t = np.asarray(times, dtype=float)
     h2 = 2.0 * hurst
-    s, u = np.meshgrid(t, t, indexing="ij")
-    return 0.5 * (s ** h2 + u ** h2 - np.abs(s - u) ** h2)
+    p = t ** h2
+    return 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
 
 
 @lru_cache(maxsize=32)
@@ -114,45 +115,29 @@ def fbm_conditional_factors(
     """Operators for sampling fBm nodes after t_index given the nodes up to it.
 
     Returns (A, L) such that, with p the realized values at nodes 1..t_index,
-    the future nodes are A @ p + L @ xi with xi standard normal. At
-    t_index = 0 this degenerates to unconditional sampling.
+    the future nodes are A @ p + L @ xi with xi standard normal. Both are
+    read off the blocks of the cached Cholesky factor [[L11, 0], [L21, L22]]
+    of the whole history: A = L21 L11^-1 = R_fp R_pp^-1, and L is the lower
+    triangular view L22, whose L22 L22^T is the Schur complement
+    R_ff - R_fp R_pp^-1 R_pf. The history's Cholesky is the only
+    factorisation, so the Schur complement is never factored or repaired
+    (no eigendecomposition) and L is always lower triangular. At
+    t_index = 0 this is unconditional sampling.
     """
-    if t_index == 0:
-        empty = np.zeros((grid.n_steps, 0))
-        return empty, _fbm_cholesky(hurst, grid)
-    cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+    factor = _fbm_cholesky(hurst, grid)
     p = t_index
-    r_pp = cov[:p, :p]
-    r_fp = cov[p:, :p]
-    r_ff = cov[p:, p:]
-    a = np.linalg.solve(r_pp, r_fp.T).T
-    schur = r_ff - a @ r_fp.T
-    schur = 0.5 * (schur + schur.T)
-    try:
-        factor = np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError:
-        # Conditioning can push tiny eigenvalues below zero numerically.
-        w, v = np.linalg.eigh(schur)
-        if np.min(w) < -1e-8 * max(1.0, np.max(w)):
-            raise CovarianceNotPD(
-                f"conditional covariance not PSD for hurst={hurst}"
-            )
-        factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    a = solve_triangular(factor[:p, :p], factor[p:, :p].T, trans="T",
+                         lower=True).T
     a.setflags(write=False)
-    factor.setflags(write=False)
-    return a, factor
+    return a, factor[p:, p:]
 
 
 def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """xi @ factor.T, via the BLAS triangular multiply when factor is
-    lower triangular (half the flops of a general matmul).
-
-    Falls back to a general matmul for non-triangular factors (the
-    eigendecomposition repair path of ``fbm_conditional_factors``).
+    """xi @ factor.T for a lower triangular factor, by the BLAS triangular
+    multiply (half the flops of a general matmul). Every factor of
+    ``fbm_conditional_factors`` is lower triangular.
     """
-    if xi.size and factor.size and not np.any(np.triu(factor, 1)):
-        return dtrmm(1.0, factor, xi, side=1, lower=1, trans_a=1)
-    return xi @ factor.T
+    return dtrmm(1.0, factor, xi, side=1, lower=1, trans_a=1)
 
 
 def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:

@@ -138,8 +138,7 @@ def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.nda
     i0 = ctx.t_index
     a, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
     past = ctx.frozen["fbm"][1 : i0 + 1]
-    mean = a @ past if i0 > 0 else np.zeros(ctx.grid.n_steps)
-    return mean[None, :] + lower_tri_matmul(xi, factor)
+    return (a @ past)[None, :] + lower_tri_matmul(xi, factor)
 
 
 def _validation_paths(spec: ModelSpec):

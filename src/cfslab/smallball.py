@@ -85,7 +85,7 @@ class SmallBallQuery:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise BadQuery("eps must be positive")
         if self.target.values[0] != 0.0:
             raise BadQuery("target must vanish at the restart node")

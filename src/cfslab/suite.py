@@ -136,6 +136,7 @@ class BatteryReport:
     template: BatteryTemplate
     wall_clock: float
     total_reps: int
+    workers_used: int  # threads run: the requested count capped at the CPUs
 
 
 CSV_HEADER = ("model,t_frac,style,amplitude,epsilon,reps,hits,"
@@ -250,6 +251,7 @@ def run_battery(
         template=template,
         wall_clock=time.perf_counter() - t0,
         total_reps=reps * len(cells),
+        workers_used=n_threads,
     )
 
 

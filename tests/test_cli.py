@@ -50,6 +50,30 @@ class TestSmallballCommand:
              "--model", "nope"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "nan"), ("--epsilon", "inf"), ("--t-frac", "nan")])
+    def test_nonfinite_flag_rejected(self, tmp_path, capsys, flag, value):
+        code, _, err = run(
+            ["smallball", "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path), "--model", "brownian", flag, value,
+             "--config", _cfg(tmp_path, "n_steps = 128\n")], capsys)
+        assert code == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "brownian_smallball_1.csv").exists()
+
+    def test_nonfinite_config_value_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_steps = 128\namplitude = inf\n")
+        code, _, err = run(
+            ["smallball", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "amplitude" in err
+
+    def test_workers_help_says_one_thread(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["smallball", "--help"])
+        assert "smallball runs on one thread" in capsys.readouterr().out
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "model = doleans\nn_steps = 128\nreps = 500\n")
         code, out, _ = run(
@@ -116,6 +140,24 @@ class TestBatteryCommand:
              "--out", str(tmp_path)], capsys)
         assert code == EXIT_CONFIG
         assert "pilot_reps" in err
+
+    def test_nonfinite_eps_scale_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, self.CFG + "eps_scales = nan,1.0\n")
+        code, _, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "eps_scales" in err
+        assert not (tmp_path / "multi_battery_1.csv").exists()
+
+    def test_summary_names_workers_used_and_requested(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, self.CFG)
+        code, out, _ = run(
+            ["battery", "--config", cfg, "--seed", "9", "--reps", "1000",
+             "--workers", "3", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        used = min(3, os.cpu_count() or 1)
+        assert f"on {used} worker(s), 3 requested" in out
 
     def test_plotdata_format_adds_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "models = doleans\nn_steps = 128\npilot_reps = 200\n")

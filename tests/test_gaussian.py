@@ -14,6 +14,7 @@ from cfslab.core import (
 from cfslab.gaussian import (
     FbmSpec,
     FouSpec,
+    _fbm_cholesky,
     bridge_paths,
     bridge_steps,
     fbm_conditional_factors,
@@ -22,6 +23,7 @@ from cfslab.gaussian import (
     gen_brownian,
     gen_brownian_alt,
     gen_fbm,
+    lower_tri_matmul,
 )
 
 GRID = make_grid(0.0, 1.0, 64)
@@ -119,6 +121,34 @@ class TestFbm:
         assert a.shape == (8, 0)
         cov = fbm_covariance(0.5, np.asarray(grid.nodes[1:]))
         assert np.allclose(ell @ ell.T, cov, atol=1e-10)
+
+    @pytest.mark.parametrize("hurst", [0.25, 0.75])
+    @pytest.mark.parametrize("t_index", [1, 128, 255])
+    def test_factors_are_blocks_of_history_cholesky(self, hurst, t_index):
+        """(A, L) come from the blocks of the one cached history factor and
+        still give the exact conditional law."""
+        grid = make_grid(0.0, 1.0, 256)
+        p = t_index
+        a, ell = fbm_conditional_factors(hurst, grid, p)
+        cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        r_pp, r_fp, r_ff = cov[:p, :p], cov[p:, :p], cov[p:, p:]
+        assert np.allclose(a @ r_pp, r_fp, rtol=0.0, atol=1e-10)
+        schur = r_ff - r_fp @ np.linalg.solve(r_pp, r_fp.T)
+        assert np.allclose(ell @ ell.T, schur, rtol=0.0, atol=1e-10)
+        assert not np.any(np.triu(ell, 1))
+        assert np.array_equal(ell, _fbm_cholesky(hurst, grid)[p:, p:])
+        xi = RngStream(3, 0).generator().standard_normal((5, 256 - p))
+        assert np.allclose(lower_tri_matmul(xi, ell), xi @ ell.T,
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [256, 2048])
+    @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.7, 0.75])
+    def test_covariance_equals_meshgrid_formula(self, hurst, n_steps):
+        t = np.asarray(make_grid(0.0, 1.0, n_steps).nodes[1:])
+        s, u = np.meshgrid(t, t, indexing="ij")
+        h2 = 2.0 * hurst
+        expected = 0.5 * (s ** h2 + u ** h2 - np.abs(s - u) ** h2)
+        assert np.array_equal(fbm_covariance(hurst, t), expected)
 
 
 def _fou(grid, spec, rng):

@@ -62,6 +62,10 @@ class TestQueryValidation:
         with pytest.raises(BadQuery):
             SmallBallQuery(0, constant_path(GRID, 0.0), 0.0)
 
+    def test_eps_nan_rejected(self):
+        with pytest.raises(BadQuery):
+            SmallBallQuery(0, constant_path(GRID, 0.0), float("nan"))
+
     def test_target_vanishes_at_start(self):
         with pytest.raises(BadQuery):
             SmallBallQuery(0, constant_path(GRID, 0.5), 1.0)
