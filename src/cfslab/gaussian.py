@@ -1,12 +1,14 @@
 """Exact-in-law Gaussian path generators.
 
 Brownian motion (increment summation and midpoint refinement), fractional
-Brownian motion via dense Cholesky of the grid covariance, fractional
-Ornstein-Uhlenbeck by pathwise integration by parts, and Brownian
-bridges.
+Brownian motion via the Cholesky factor of its grid covariance (built in
+O(n^2) by the Schur algorithm on the Toeplitz covariance of its
+increments), fractional Ornstein-Uhlenbeck by pathwise integration by
+parts, and Brownian bridges.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,26 +88,78 @@ def gen_brownian_alt(grid: TimeGrid, rng: RngStream) -> Path:
     return Path(grid, values)
 
 
-def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
-    """R(s, t) = (s^2h + t^2h - |t - s|^2h) / 2 on the given times."""
-    t = np.asarray(times, dtype=float)
+def _fgn_autocovariance(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """c_k = Cov(dB_0, dB_k) of the fBm increments (fractional Gaussian
+    noise) on the grid: dt^2h ((k+1)^2h - 2 k^2h + |k-1|^2h) / 2."""
+    k = np.arange(grid.n_steps, dtype=float)
     h2 = 2.0 * hurst
-    p = t ** h2
-    return 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
+    return 0.5 * grid.dt ** h2 * ((k + 1.0) ** h2 - 2.0 * k ** h2
+                                  + np.abs(k - 1.0) ** h2)
+
+
+def _toeplitz_schur(c: np.ndarray) -> np.ndarray:
+    """Upper triangular U with U^T U = toeplitz(c), in O(n^2).
+
+    The generalized Schur algorithm (Bojanczyk, Brent, de Hoog & Sweet,
+    SIAM J. Matrix Anal. Appl. 16, 1995): T - Z T Z^T = g1 g1^T - g2 g2^T
+    for the shift Z, and each step shifts g1 down one place and applies the
+    hyperbolic rotation that zeroes the leading entry of g2; the rotated g1
+    is the next row of U (column of the lower Cholesky factor). g2 is
+    updated in the stable mixed form g2' = s g2 - rho g1'.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if not c[0] > 0.0:
+        raise CovarianceNotPD(f"Toeplitz covariance has c_0 = {c[0]}")
+    u = np.zeros((n, n))
+    u[0] = c / np.sqrt(c[0])
+    g2 = u[0].copy()
+    g2[0] = 0.0
+    for k in range(1, n):
+        g1 = u[k - 1, k - 1 : n - 1]
+        b = g2[k:]
+        rho = b[0] / g1[0]
+        if not abs(rho) < 1.0:
+            raise CovarianceNotPD(
+                f"Toeplitz covariance not positive definite at step {k} "
+                f"of {n} (reflection coefficient {rho})")
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        row = u[k, k:]
+        np.multiply(b, -rho, out=row)
+        row += g1
+        row /= s
+        b *= s
+        b -= rho * row
+    return u
+
+
+_FACTOR_LOCK = threading.Lock()
+
+
+def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """Lower Cholesky factor of the fBm covariance at nodes 1..n_steps.
+
+    The increments have the Toeplitz covariance T of `_fgn_autocovariance`,
+    whose lower factor U^T comes from `_toeplitz_schur`. The cumulative sum
+    along each row of U is U S^T, with S the lower triangle of ones, and
+    its transpose S U^T is lower triangular with the positive diagonal of
+    U^T and S U^T U S^T = S T S^T = R, so it is the Cholesky factor of R.
+    It is returned as that read-only, Fortran-ordered transpose. Built once
+    per (hurst, grid) and process: the lock keeps two threads that miss
+    the cache together from both building it.
+    """
+    with _FACTOR_LOCK:
+        return _fbm_factor(hurst, grid)
 
 
 @lru_cache(maxsize=32)
-def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
-    cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceNotPD(
-            f"covariance factorization failed for hurst={hurst}, "
-            f"n_steps={grid.n_steps}"
-        ) from exc
-    factor.setflags(write=False)
-    return factor
+def _fbm_factor(hurst: float, grid: TimeGrid) -> np.ndarray:
+    if grid.t_start != 0.0:
+        raise BadParams("fBm grid must start at 0")
+    u = _toeplitz_schur(_fgn_autocovariance(hurst, grid))
+    np.cumsum(u, axis=1, out=u)
+    u.setflags(write=False)
+    return u.T
 
 
 @lru_cache(maxsize=32)
@@ -117,9 +171,9 @@ def fbm_conditional_factors(
     Returns (A, L) such that, with p the realized values at nodes 1..t_index,
     the future nodes are A @ p + L @ xi with xi standard normal. Both are
     read off the blocks of the cached Cholesky factor [[L11, 0], [L21, L22]]
-    of the whole history: A = L21 L11^-1 = R_fp R_pp^-1, and L is the lower
-    triangular view L22, whose L22 L22^T is the Schur complement
-    R_ff - R_fp R_pp^-1 R_pf. The history's Cholesky is the only
+    of the whole history: A = L21 L11^-1 = R_fp R_pp^-1, and L is a
+    Fortran-ordered copy of L22, whose L22 L22^T is the Schur complement
+    R_ff - R_fp R_pp^-1 R_pf. The history's factor is the only
     factorisation, so the Schur complement is never factored or repaired
     (no eigendecomposition) and L is always lower triangular. At
     t_index = 0 this is unconditional sampling.
@@ -129,21 +183,25 @@ def fbm_conditional_factors(
     a = solve_triangular(factor[:p, :p], factor[p:, :p].T, trans="T",
                          lower=True).T
     a.setflags(write=False)
-    return a, factor[p:, p:]
+    ell = np.asfortranarray(factor[p:, p:])
+    ell.setflags(write=False)
+    return a, ell
 
 
 def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """xi @ factor.T for a lower triangular factor, by the BLAS triangular
-    multiply (half the flops of a general matmul). Every factor of
-    ``fbm_conditional_factors`` is lower triangular.
+    multiply (half the flops of a general matmul), returned C-contiguous.
+
+    Computed as (factor @ xi.T).T, so a Fortran-ordered factor (every
+    factor of ``fbm_conditional_factors``) reaches BLAS without a copy and
+    the one copy of the normals is the buffer BLAS overwrites with the
+    result.
     """
-    return dtrmm(1.0, factor, xi, side=1, lower=1, trans_a=1)
+    return dtrmm(1.0, factor, xi.T, side=0, lower=1).T
 
 
 def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:
     """Fractional Brownian motion, exact on the grid (Cholesky sampling)."""
-    if grid.t_start != 0.0:
-        raise BadParams("fBm grid must start at 0")
     factor = _fbm_cholesky(spec.hurst, grid)
     z = rng.generator().standard_normal(grid.n_steps)
     values = np.concatenate(([0.0], factor @ z))

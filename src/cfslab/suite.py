@@ -213,6 +213,8 @@ def run_battery(
         raise EmptyBattery("no models given")
     if reps < 1000:
         raise BadParams("battery reps must be >= 1000")
+    if workers < 1:
+        raise BadParams(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     root = RngStream(seed, 0)
     cells = [
@@ -227,7 +229,7 @@ def run_battery(
 
     # Cells are CPU bound, so oversubscribing the host only adds GIL and
     # cache contention; the requested worker count is an upper bound.
-    n_threads = max(1, min(workers, os.cpu_count() or 1))
+    n_threads = min(workers, os.cpu_count() or 1)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(work, cells))

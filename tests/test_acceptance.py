@@ -7,6 +7,7 @@ minutes, not seconds.
 """
 import numpy as np
 import pytest
+from oracles import fbm_covariance
 
 from cfslab.catalog import DEFAULT_BATTERY, affine_integrand, get_preset
 from cfslab.core import (
@@ -18,7 +19,7 @@ from cfslab.core import (
 )
 from cfslab.gaussian import (
     FbmSpec,
-    fbm_covariance,
+    _fbm_cholesky,
     gen_brownian,
     gen_brownian_alt,
 )
@@ -204,12 +205,16 @@ def test_criterion_5_integration_identities():
 
 def test_criterion_6_fbm_exactness():
     grid = make_grid(0.0, 1.0, 1024)
-    worst = 0.0
+    worst = sampler_worst = 0.0
     for h in (0.25, 0.5, 0.75):
         r = fbm_covariance(h, np.asarray(grid.nodes[1:]))
         factor = np.linalg.cholesky(r)
         rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
         worst = max(worst, rel)
+        # the factor the samplers draw with
+        factor = _fbm_cholesky(h, grid)
+        rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
+        sampler_worst = max(sampler_worst, rel)
     # successive-increment correlation at h = 0.25, 10^5 replications
     small = make_grid(0.0, 1.0, 2)
     cov = fbm_covariance(0.25, np.asarray(small.nodes[1:]))
@@ -220,9 +225,10 @@ def test_criterion_6_fbm_exactness():
     c = float(np.corrcoef(inc1, inc2)[0, 1])
     target = 2.0 ** (2 * 0.25 - 1) - 1.0  # -0.29289
     se = (1.0 - target ** 2) / np.sqrt(REPS)
-    ok = worst <= 1e-10 and abs(c - target) <= 4 * se
+    ok = worst <= 1e-10 and sampler_worst <= 1e-10 and abs(c - target) <= 4 * se
     _report(6, ok,
             f"cholesky rel err {worst:.2e} <= 1e-10; "
+            f"sampler factor rel err {sampler_worst:.2e} <= 1e-10; "
             f"increment corr {c:.5f} vs {target:.5f} (4 SE = {4 * se:.5f})")
 
 

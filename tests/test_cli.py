@@ -141,6 +141,16 @@ class TestBatteryCommand:
         assert code == EXIT_CONFIG
         assert "pilot_reps" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        cfg = _cfg(tmp_path, self.CFG)
+        code, _, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--workers", workers, "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "workers" in err
+        assert not (tmp_path / "multi_battery_1.csv").exists()
+
     def test_nonfinite_eps_scale_rejected(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, self.CFG + "eps_scales = nan,1.0\n")
         code, _, err = run(

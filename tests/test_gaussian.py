@@ -1,10 +1,18 @@
 """Brownian, fractional Brownian, and bridge generators."""
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fbm_covariance
+from scipy.linalg import toeplitz
 
+from cfslab import gaussian
 from cfslab.core import (
+    BadParams,
+    CovarianceNotPD,
     HurstOutOfRange,
     NotPowerOfTwo,
     RngStream,
@@ -15,10 +23,11 @@ from cfslab.gaussian import (
     FbmSpec,
     FouSpec,
     _fbm_cholesky,
+    _fgn_autocovariance,
+    _toeplitz_schur,
     bridge_paths,
     bridge_steps,
     fbm_conditional_factors,
-    fbm_covariance,
     fou_from_fbm,
     gen_brownian,
     gen_brownian_alt,
@@ -149,6 +158,90 @@ class TestFbm:
         h2 = 2.0 * hurst
         expected = 0.5 * (s ** h2 + u ** h2 - np.abs(s - u) ** h2)
         assert np.array_equal(fbm_covariance(hurst, t), expected)
+
+
+class TestToeplitzSchur:
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.1, 0.9), st.integers(32, 256))
+    def test_matches_dense_cholesky(self, hurst, n_steps):
+        c = _fgn_autocovariance(hurst, make_grid(0.0, 1.0, n_steps))
+        u = _toeplitz_schur(c)
+        assert not np.any(np.tril(u, -1))
+        ref = np.linalg.cholesky(toeplitz(c))
+        assert np.max(np.abs(u.T - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("c", [(1.0, 1.0, 1.0), (1.0, 2.0),
+                                   (1.0, np.nan), (0.0, 0.0)],
+                             ids=["singular", "rho-above-one", "nan", "zero"])
+    def test_not_positive_definite_rejected(self, c):
+        with pytest.raises(CovarianceNotPD):
+            _toeplitz_schur(np.array(c))
+
+
+class TestFbmFactor:
+    """The factor the samplers use: `_fbm_cholesky` and its blocks."""
+
+    @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.7, 0.75])
+    def test_reconstructs_covariance(self, hurst):
+        grid = make_grid(0.0, 1.0, 2048)
+        factor = _fbm_cholesky(hurst, grid)
+        assert factor.flags.f_contiguous and not factor.flags.writeable
+        assert not np.any(np.triu(factor, 1))
+        r = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
+        assert rel <= 1e-10
+
+    def test_h_half_is_brownian_summation(self):
+        grid = make_grid(0.0, 1.0, 256)
+        expected = np.sqrt(grid.dt) * np.tril(np.ones((256, 256)))
+        assert np.allclose(_fbm_cholesky(0.5, grid), expected,
+                           rtol=1e-14, atol=0.0)
+
+    def test_grid_must_start_at_zero(self):
+        with pytest.raises(BadParams):
+            _fbm_cholesky(0.7, make_grid(0.5, 1.0, 8))
+
+    @pytest.mark.parametrize("t_index", [0, 128])
+    def test_lower_tri_matmul_is_c_contiguous(self, t_index):
+        grid = make_grid(0.0, 1.0, 256)
+        _, ell = fbm_conditional_factors(0.7, grid, t_index)
+        assert ell.flags.f_contiguous
+        m = 256 - t_index
+        # the normals arrive as a column block of a wider draw, as in
+        # models._fresh_normals
+        flat = RngStream(5, 0).generator().standard_normal((7, 2 * m))
+        xi = flat[:, m:]
+        out = lower_tri_matmul(xi, ell)
+        assert out.flags.c_contiguous
+        assert np.allclose(out, xi @ ell.T, rtol=0.0, atol=1e-12)
+
+    def test_cold_factor_built_once_across_threads(self, monkeypatch):
+        grid = make_grid(0.0, 1.0, 48)
+        hurst = 0.6180339887
+        builds = []
+        schur = gaussian._toeplitz_schur
+
+        def slow_schur(c):
+            builds.append(threading.get_ident())
+            time.sleep(0.2)
+            return schur(c)
+
+        monkeypatch.setattr(gaussian, "_toeplitz_schur", slow_schur)
+        start = threading.Barrier(2)
+        results = []
+
+        def ask():
+            start.wait(timeout=10)
+            results.append(_fbm_cholesky(hurst, grid))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert len(results) == 2 and results[0] is results[1]
 
 
 def _fou(grid, spec, rng):
