@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, help="Monte Carlo replications")
         p.add_argument("--workers", type=int, help=(
             "unused: smallball runs on one thread" if name == "smallball"
-            else "parallel workers, at most the CPU count"))
+            else "worker processes, at most the CPUs and the cells"))
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json", "plotdata"],
                        help="extra report format")

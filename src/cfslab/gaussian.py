@@ -8,7 +8,6 @@ parts, and Brownian bridges.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,9 +132,7 @@ def _toeplitz_schur(c: np.ndarray) -> np.ndarray:
     return u
 
 
-_FACTOR_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=32)
 def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     """Lower Cholesky factor of the fBm covariance at nodes 1..n_steps.
 
@@ -144,16 +141,8 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     along each row of U is U S^T, with S the lower triangle of ones, and
     its transpose S U^T is lower triangular with the positive diagonal of
     U^T and S U^T U S^T = S T S^T = R, so it is the Cholesky factor of R.
-    It is returned as that read-only, Fortran-ordered transpose. Built once
-    per (hurst, grid) and process: the lock keeps two threads that miss
-    the cache together from both building it.
+    It is returned as that read-only, Fortran-ordered transpose.
     """
-    with _FACTOR_LOCK:
-        return _fbm_factor(hurst, grid)
-
-
-@lru_cache(maxsize=32)
-def _fbm_factor(hurst: float, grid: TimeGrid) -> np.ndarray:
     if grid.t_start != 0.0:
         raise BadParams("fBm grid must start at 0")
     u = _toeplitz_schur(_fgn_autocovariance(hurst, grid))

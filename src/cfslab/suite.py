@@ -10,10 +10,10 @@ from __future__ import annotations
 import enum
 import io
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class BatteryReport:
     template: BatteryTemplate
     wall_clock: float
     total_reps: int
-    workers_used: int  # threads run: the requested count capped at the CPUs
+    workers_used: int  # processes run: the request capped at CPUs and cells
 
 
 CSV_HEADER = ("model,t_frac,style,amplitude,epsilon,reps,hits,"
@@ -196,6 +196,15 @@ def _run_cell(spec: ModelSpec, t_frac: float, template: BatteryTemplate,
     ]
 
 
+# The running battery's `_run_cell` arguments, one tuple per cell. Forked
+# workers inherit them, so specs and contexts are never pickled.
+_CELLS: list[tuple] = []
+
+
+def _cell_rows(i: int) -> list[BatteryRow]:
+    return _run_cell(*_CELLS[i])
+
+
 def run_battery(
     models: list[ModelSpec],
     template: BatteryTemplate,
@@ -209,6 +218,7 @@ def run_battery(
     replication derives its stream from the cell and replication indices,
     so the worker count never changes a single byte of the report.
     """
+    global _CELLS
     if not models:
         raise EmptyBattery("no models given")
     if reps < 1000:
@@ -216,25 +226,26 @@ def run_battery(
     if workers < 1:
         raise BadParams(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    root = RngStream(seed, 0)
-    cells = [
-        (mi * len(template.t_fracs) + fi, spec, frac)
-        for mi, spec in enumerate(models)
-        for fi, frac in enumerate(template.t_fracs)
-    ]
-
-    def work(cell):
-        index, spec, frac = cell
-        return _run_cell(spec, frac, template, reps, root.child(index))
-
-    # Cells are CPU bound, so oversubscribing the host only adds GIL and
-    # cache contention; the requested worker count is an upper bound.
-    n_threads = min(workers, os.cpu_count() or 1)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
+    root, n_fracs = RngStream(seed, 0), len(template.t_fracs)
+    _CELLS = [(spec, frac, template, reps, root.child(mi * n_fracs + fi))
+              for mi, spec in enumerate(models)
+              for fi, frac in enumerate(template.t_fracs)]
+    n_cells = len(_CELLS)
+    # Cells are CPU bound, so processes beyond the CPUs or the cells only
+    # add contention; without fork, the cells run in this process.
+    n_procs = (min(workers, os.cpu_count() or 1, n_cells)
+               if "fork" in multiprocessing.get_all_start_methods() else 1)
+    try:
+        if n_procs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            # leaving the block joins every worker, on error too
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(n_procs, mp_context=fork) as pool:
+                results = list(pool.map(_cell_rows, range(n_cells)))
+        else:
+            results = list(map(_cell_rows, range(n_cells)))
+    finally:
+        _CELLS = []
     rows = tuple(row for cell_rows in results for row in cell_rows)
     verdicts: dict[str, str] = {}
     for spec in models:
@@ -252,8 +263,8 @@ def run_battery(
         reps=reps,
         template=template,
         wall_clock=time.perf_counter() - t0,
-        total_reps=reps * len(cells),
-        workers_used=n_threads,
+        total_reps=reps * n_cells,
+        workers_used=n_procs,
     )
 
 

