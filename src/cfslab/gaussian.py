@@ -49,8 +49,9 @@ class FouSpec:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise HurstOutOfRange(f"hurst {self.hurst} not in (0, 1)")
-        if self.alpha <= 0 or self.sigma < 0:
-            raise BadParams("need alpha > 0 and sigma >= 0")
+        if not np.all(np.isfinite((self.alpha, self.sigma, self.v0))) \
+                or self.alpha <= 0 or self.sigma < 0:
+            raise BadParams("need finite alpha > 0, sigma >= 0 and v0")
 
 
 def gen_brownian(grid: TimeGrid, rng: RngStream) -> Path:

@@ -30,6 +30,9 @@ class SubordinatorSpec:
     rate: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite(
+                (self.jump_rate, self.jump_mean, self.shape, self.rate))):
+            raise BadParams("subordinator parameters must be finite")
         if self.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
             if self.jump_rate < 0 or self.jump_mean <= 0:
                 raise BadParams("need jump_rate >= 0 and jump_mean > 0")
@@ -58,12 +61,12 @@ class BnsSpec:
     window: float = 0.0
 
     def __post_init__(self):
-        if self.decay <= 0:
-            raise BadParams("decay must be positive")
+        if not 0.0 < self.decay < np.inf:
+            raise BadParams("decay must be finite and positive")
         if self.window == 0.0:
             object.__setattr__(self, "window", 20.0 / self.decay)
-        if self.window <= 0:
-            raise BadParams("window must be positive")
+        if not 0.0 < self.window < np.inf:
+            raise BadParams("window must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,9 @@ class CirSpec:
     v0: float
 
     def __post_init__(self):
-        if min(self.kappa, self.theta, self.xi) <= 0 or self.v0 < 0:
-            raise BadParams("CIR parameters must be positive (v0 >= 0)")
+        c = (self.kappa, self.theta, self.xi, self.v0)
+        if not np.all(np.isfinite(c)) or min(c[:3]) <= 0 or self.v0 < 0:
+            raise BadParams("CIR parameters must be finite and positive (v0 >= 0)")
 
     @property
     def feller_ok(self) -> bool:
@@ -195,8 +196,8 @@ class MixedFbm(ModelSpec):
         super().__post_init__()
         if not 0.0 < self.hurst < 1.0:
             raise BadParams("hurst must be in (0, 1)")
-        if self.fbm_weight < 0:
-            raise BadParams("fbm_weight must be >= 0")
+        if not 0.0 <= self.fbm_weight < np.inf:
+            raise BadParams("fbm_weight must be finite and >= 0")
 
     def history(self, grid, rng):
         w = gaussian.gen_brownian(grid, rng.child(0)).values
@@ -285,7 +286,9 @@ class _VolPrice(ModelSpec):
 
     A family supplies `_volatility(grid, rng)`, g at the nodes plus its
     frozen drivers, and for REDRAW either `_markov_vol(ctx, grid_tail,
-    gen)`, one replication's g on the tail cells, or its own `_redraw`.
+    gen)`, one replication's g on the tail cells, or its own `_redraw`
+    returning the W normals and g per replication. `_log_price`
+    integrates the log price for the history and every continuation.
     g is independent of W except in `Heston`, whose variance is driven by
     a Brownian B with d<W, B> = rho dt.
     """
@@ -295,53 +298,47 @@ class _VolPrice(ModelSpec):
 
     _root = 1.0  # weight of W in the price noise
 
-    def _history_drift(self, g, dt, frozen):
-        return _cumsum0((self.mu - 0.5 * g[:-1] ** 2) * dt)
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.isfinite(self.mu):
+            raise BadParams("mu must be finite")
 
-    def _cell_drift(self, g, dt, ctx):
-        return (self.mu - 0.5 * g[:-1] ** 2) * dt
+    def _cell_drift(self, g, dt, frozen, i0):
+        return (self.mu - 0.5 * g ** 2) * dt
+
+    def _log_price(self, z0, g, xi, scale, dt, frozen, i0):
+        """z0 + cumsum0(cell drift) + root * cumsum0(g * xi * scale) for
+        the per-cell left-point volatility g (a row, or one row per
+        replication) from the cell at node i0 on, and standard normals
+        xi with their scale."""
+        drift = _cumsum0(self._cell_drift(g, dt, frozen, i0))
+        return z0 + drift + self._root * _cumsum0(g * xi * scale)
 
     def history(self, grid, rng):
         dw = np.diff(gaussian.gen_brownian(grid, rng.child(0)).values)
         g, frozen = self._volatility(grid, rng)
         frozen["g"] = g
-        lz = self._history_drift(g, grid.dt, frozen) \
-            + self._root * _cumsum0(g[:-1] * dw)
-        return lz, frozen
+        return self._log_price(0.0, g[:-1], dw, 1.0, grid.dt, frozen, 0), frozen
 
     def continuation(self, ctx, grid_tail, streams):
         if self.hk_mode is HkMode.REDRAW:
-            return self._redraw(ctx, grid_tail, streams)
+            xi_w, g = self._redraw(ctx, grid_tail, streams)
+        else:
+            (xi_w,) = _fresh_normals(streams, grid_tail.n_steps, 1)
+            g = ctx.frozen["g"][ctx.t_index : -1]
         dt = grid_tail.dt
-        (xi_w,) = _fresh_normals(streams, grid_tail.n_steps, 1)
-        g = ctx.frozen["g"][ctx.t_index:]
-        det = _cumsum0(self._cell_drift(g, dt, ctx))
-        return ctx.z_t + det[None, :] \
-            + self._root * _cumsum0(g[:-1][None, :] * xi_w * np.sqrt(dt))
+        return self._log_price(ctx.z_t, g, xi_w, np.sqrt(dt), dt, ctx.frozen,
+                               ctx.t_index)
 
     def _redraw(self, ctx, grid_tail, streams):
-        # Markov volatility redrawn per replication (event-driven), then
-        # the log price integrated.
-        n = len(streams)
-        m = grid_tail.n_steps
-        dt = grid_tail.dt
-        lz = np.empty((n, m + 1))
-        lz[:, 0] = ctx.z_t
-        dw = np.empty((n, m))
-        gm = np.empty((n, m))
-        sdt = np.sqrt(dt)
+        # Markov volatility redrawn per replication (event-driven), from
+        # the stream that drew that replication's W normals.
+        xi_w = np.empty((len(streams), grid_tail.n_steps))
+        g = np.empty_like(xi_w)
         for r, gen in enumerate(generators(streams)):
-            gen.standard_normal(out=dw[r])
-            gm[r] = self._markov_vol(ctx, grid_tail, gen)
-        dw *= sdt
-        dw *= gm
-        gm *= gm
-        gm *= -0.5 * dt
-        gm += self.mu * dt
-        gm += dw
-        np.cumsum(gm, axis=1, out=lz[:, 1:])
-        lz[:, 1:] += ctx.z_t
-        return lz
+            gen.standard_normal(out=xi_w[r])
+            g[r] = self._markov_vol(ctx, grid_tail, gen)
+        return xi_w, g
 
     def checks(self):
         bad = sum(bool(np.any(ctx.frozen["g"] <= 0.0))
@@ -370,13 +367,9 @@ class Heston(_VolPrice):
     def _root(self) -> float:
         return np.sqrt(1.0 - self.rho ** 2)
 
-    def _history_drift(self, g, dt, frozen):
-        return super()._history_drift(g, dt, frozen) \
-            + self.rho * _cumsum0(g[:-1] * frozen["db"])
-
-    def _cell_drift(self, g, dt, ctx):
-        return super()._cell_drift(g, dt, ctx) \
-            + self.rho * g[:-1] * ctx.frozen["db"][ctx.t_index:]
+    def _cell_drift(self, g, dt, frozen, i0):
+        return super()._cell_drift(g, dt, frozen, i0) \
+            + self.rho * g * frozen["db"][i0:]
 
     def _volatility(self, grid, rng):
         n = grid.n_steps
@@ -394,7 +387,10 @@ class Heston(_VolPrice):
                 + c.xi * np.sqrt(vp) * db[i]
         return np.sqrt(np.clip(v, 0.0, None)), {"v": v, "db": db}
 
-    def _redraw(self, ctx, grid_tail, streams):
+    def continuation(self, ctx, grid_tail, streams):
+        if self.hk_mode is HkMode.FIXED:
+            return super().continuation(ctx, grid_tail, streams)
+        # REDRAW: v and the price advance together, one Euler step per cell
         m = grid_tail.n_steps
         dt = grid_tail.dt
         xi_w, xi_b = _fresh_normals(streams, m, 2)
@@ -458,20 +454,12 @@ class ComteRenault(_VolPrice):
 
     def _redraw(self, ctx, grid_tail, streams):
         i0 = ctx.t_index
-        m = grid_tail.n_steps
-        dt = grid_tail.dt
-        xi_w, xi_f = _fresh_normals(streams, m, 2)
+        xi_w, xi_f = _fresh_normals(streams, grid_tail.n_steps, 2)
         fbm = ctx.frozen["fbm"]
         full = np.concatenate(
             (np.broadcast_to(fbm[: i0 + 1], (len(streams), i0 + 1)),
              _fbm_tails(self.fou.hurst, ctx, xi_f)), axis=1)
-        g = np.exp(fou_from_fbm(ctx.grid, self.fou, full)[:, i0:])
-        drift = np.cumsum((self.mu - 0.5 * g[:, :-1] ** 2) * dt, axis=1)
-        lz = np.empty((len(streams), m + 1))
-        lz[:, 0] = ctx.z_t
-        lz[:, 1:] = ctx.z_t + drift + np.cumsum(
-            g[:, :-1] * xi_w * np.sqrt(dt), axis=1)
-        return lz
+        return xi_w, np.exp(fou_from_fbm(ctx.grid, self.fou, full)[:, i0:-1])
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -8,3 +8,24 @@ def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
     h2 = 2.0 * hurst
     p = t ** h2
     return 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
+
+
+def vol_log_price(z0: float, g: np.ndarray, dw: np.ndarray, dt: float,
+                  mu: float = 0.0, rho: float = 0.0,
+                  db: np.ndarray | None = None) -> np.ndarray:
+    """Log price by a plain per-row, per-cell loop, one row per row of the
+    Brownian increments `dw` (and of `g`, the left-point volatility per
+    cell, when it has rows):
+    z_{i+1} = z_i + (mu - g_i^2/2) dt + sqrt(1 - rho^2) g_i dw_i + rho g_i db_i.
+    """
+    dw = np.atleast_2d(dw)
+    g = np.broadcast_to(g, dw.shape)
+    db = np.zeros(dw.shape[1]) if db is None else db
+    root = np.sqrt(1.0 - rho ** 2)
+    z = np.empty((dw.shape[0], dw.shape[1] + 1))
+    for r in range(dw.shape[0]):
+        z[r, 0] = z0
+        for i in range(dw.shape[1]):
+            z[r, i + 1] = (z[r, i] + (mu - 0.5 * g[r, i] ** 2) * dt
+                           + root * g[r, i] * dw[r, i] + rho * g[r, i] * db[i])
+    return z

@@ -1,18 +1,12 @@
 """Discrete stochastic and pathwise integrals, clocks, and exponentials."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from cfslab.catalog import get_preset
 from cfslab.core import GridMismatch, Path, RngStream, make_grid
 from cfslab.gaussian import gen_brownian
-from cfslab.integrate import (
-    check_progcfs_conditions,
-    doleans_exp,
-    ito_integral,
-    qv_clock,
-    rs_parts_form,
-)
+from cfslab.integrate import ito_integral, qv_clock, rs_parts_form
+from cfslab.models import simulate
 
 GRID = make_grid(0.0, 1.0, 128)
 
@@ -93,41 +87,18 @@ class TestQvClock:
 
 
 class TestDoleans:
+    # the stochastic exponential exp(W - t/2) as the battery simulates it
+    def _paths(self, seed, n):
+        root = RngStream(seed, 1)
+        return [simulate(get_preset("doleans"), GRID, root.child(r))[0].values
+                for r in range(n)]
+
     def test_positive_and_initial_one(self):
-        for w in _paths(5, 20):
-            e = doleans_exp(w).values
+        for e in self._paths(5, 20):
             assert e[0] == 1.0
             assert np.all(e > 0.0)
 
     def test_martingale_mean(self):
-        finals = np.array([doleans_exp(w).values[-1] for w in _paths(6, 3000)])
+        finals = np.array([e[-1] for e in self._paths(6, 3000)])
         se = np.std(finals) / np.sqrt(finals.size)
         assert abs(np.mean(finals) - 1.0) < 4 * se
-
-
-class TestProgcfsConditions:
-    def test_bounded_nonvanishing_integrand(self):
-        t = np.asarray(GRID.nodes)
-        k = Path(GRID, 1.0 + t)
-        h = Path(GRID, np.sin(t))
-        rep = check_progcfs_conditions(k, h, k_bar=3.0)
-        assert rep.qv_bounded
-        assert rep.integrands_finite
-        assert np.isfinite(rep.inv_qv)
-        assert np.isfinite(rep.inv_qv_drift)
-
-    def test_vanishing_integrand_flagged(self):
-        t = np.asarray(GRID.nodes)
-        k = Path(GRID, t)  # k(0) = 0
-        h = Path(GRID, np.ones_like(t))
-        rep = check_progcfs_conditions(k, h, k_bar=1.0)
-        assert not rep.integrands_finite
-        assert rep.inv_qv == np.inf
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(0.1, 5.0), st.floats(0.0, 2.0))
-    def test_qv_bound_consistency(self, base, k_bar):
-        k = Path(GRID, np.full(GRID.n_nodes, base))
-        h = Path(GRID, np.zeros(GRID.n_nodes))
-        rep = check_progcfs_conditions(k, h, k_bar=k_bar)
-        assert rep.qv_bounded == (rep.qv <= k_bar)

@@ -4,10 +4,13 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles import vol_log_price
 
+from cfslab import jumps
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
 from cfslab.core import BadParams, FellerWarning, RngStream, make_grid, tail_grid
-from cfslab.jumps import CtmcSpec
+from cfslab.gaussian import FouSpec, gen_brownian
+from cfslab.jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
 from cfslab.models import (
     FAMILIES,
     Bns,
@@ -183,6 +186,58 @@ class TestRegimeState:
         assert np.allclose(p.values, expected, rtol=0.0, atol=1e-12)
 
 
+class TestLogPriceOracle:
+    # the shared log-price integrator against a plain per-cell loop
+    GRID = make_grid(0.0, 1.0, 256)
+    RESTART = 128
+    REDRAW_VOL = {
+        "bns": lambda spec, ctx, tail, gen: np.sqrt(jumps.bns_forward(
+            spec.bns, float(ctx.frozen["v"][ctx.t_index]), tail, gen)[:-1]),
+        "regime": lambda spec, ctx, tail, gen: spec.ctmc.vol_levels[
+            jumps.ctmc_states(tail, spec.ctmc,
+                              int(ctx.frozen["state"][ctx.t_index]), gen)[:-1]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(REDRAW_VOL))
+    def test_redraw_continuation(self, name):
+        spec = dataclasses.replace(get_preset(name), hk_mode=HkMode.REDRAW)
+        _, ctx = simulate(spec, self.GRID, RngStream(19, 0), self.RESTART)
+        tail = tail_grid(self.GRID, self.RESTART)
+        rng = RngStream(19, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 64)])
+        for r, row in enumerate(block):
+            gen = rng.child(r).generator()
+            dw = np.sqrt(tail.dt) * gen.standard_normal(tail.n_steps)
+            g = self.REDRAW_VOL[name](spec, ctx, tail, gen)
+            expected = vol_log_price(ctx.z_t, g, dw, tail.dt, spec.mu)[0]
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+
+    def test_heston_history(self):
+        spec = get_preset("heston")
+        rng = RngStream(20, 0)
+        path, ctx = simulate(spec, self.GRID, rng)
+        dw = np.diff(gen_brownian(self.GRID, rng.child(0)).values)
+        expected = vol_log_price(0.0, ctx.frozen["g"][:-1], dw, self.GRID.dt,
+                                 spec.mu, spec.rho, ctx.frozen["db"])[0]
+        assert np.allclose(path.values, expected, rtol=0.0, atol=1e-12)
+
+    def test_heston_fixed_continuation(self):
+        spec = dataclasses.replace(get_preset("heston"), hk_mode=HkMode.FIXED)
+        i0 = self.RESTART
+        _, ctx = simulate(spec, self.GRID, RngStream(21, 0), i0)
+        tail = tail_grid(self.GRID, i0)
+        rng = RngStream(21, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 16)])
+        dw = np.sqrt(tail.dt) * np.array(
+            [rng.child(r).generator().standard_normal(tail.n_steps)
+             for r in range(16)])
+        expected = vol_log_price(ctx.z_t, ctx.frozen["g"][i0:-1], dw, tail.dt,
+                                 spec.mu, spec.rho, ctx.frozen["db"][i0:])
+        assert np.allclose(block, expected, rtol=0.0, atol=1e-12)
+
+
 class TestCellNoiseScale:
     def test_pure_brownian(self):
         spec = get_preset("brownian")
@@ -228,6 +283,43 @@ class TestValidateSpec:
             SdePrice()
         with pytest.raises(TypeError):
             WienerIntegral()
+
+
+CP = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
+                      jump_rate=10.0, jump_mean=0.008)
+# one constructor per float spec field, called with the field's value
+NONFINITE_FIELD = {
+    "cir.kappa": lambda x: CirSpec(kappa=x, theta=0.04, xi=0.2, v0=0.04),
+    "cir.theta": lambda x: CirSpec(kappa=3.0, theta=x, xi=0.2, v0=0.04),
+    "cir.xi": lambda x: CirSpec(kappa=3.0, theta=0.04, xi=x, v0=0.04),
+    "cir.v0": lambda x: CirSpec(kappa=3.0, theta=0.04, xi=0.2, v0=x),
+    "fou.alpha": lambda x: FouSpec(hurst=0.7, alpha=x, sigma=0.5),
+    "fou.sigma": lambda x: FouSpec(hurst=0.7, alpha=1.0, sigma=x),
+    "fou.v0": lambda x: FouSpec(hurst=0.7, alpha=1.0, sigma=0.5, v0=x),
+    "subordinator.jump_rate": lambda x: SubordinatorSpec(
+        SubordinatorKind.COMPOUND_POISSON_EXP, jump_rate=x),
+    "subordinator.jump_mean": lambda x: SubordinatorSpec(
+        SubordinatorKind.COMPOUND_POISSON_EXP, jump_rate=1.0, jump_mean=x),
+    "subordinator.shape": lambda x: SubordinatorSpec(
+        SubordinatorKind.GAMMA, shape=x),
+    "subordinator.rate": lambda x: SubordinatorSpec(
+        SubordinatorKind.GAMMA, rate=x),
+    "bns.decay": lambda x: BnsSpec(subordinator=CP, decay=x),
+    "bns.window": lambda x: BnsSpec(subordinator=CP, decay=2.0, window=x),
+    "price.mu": lambda x: Bns(mu=x, bns=BnsSpec(subordinator=CP, decay=2.0)),
+    "mixed_fbm.fbm_weight": lambda x: MixedFbm(hurst=0.7, fbm_weight=x),
+}
+
+
+class TestNonfiniteParams:
+    # comparisons with NaN are False, so each field needs its own
+    # finiteness check; a NaN jump rate used to give a Bns whose
+    # volatility never jumps
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", sorted(NONFINITE_FIELD))
+    def test_rejected(self, field, bad):
+        with pytest.raises(BadParams):
+            NONFINITE_FIELD[field](bad)
 
 
 class TestFamilies:
