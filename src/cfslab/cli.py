@@ -236,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
             "unused: smallball runs on one thread" if name == "smallball"
             else "worker processes, at most the CPUs and the cells"))
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json", "plotdata"],
-                       help="extra report format")
-        if name == "smallball":
+        if name == "battery":
+            p.add_argument("--format", choices=["csv", "json", "plotdata"],
+                           help="extra report format")
+        else:
             p.add_argument("--model", help="preset name (see `models`)")
             p.add_argument("--epsilon", type=float, help="tube radius")
             p.add_argument("--t-frac", dest="t_frac", type=float,

@@ -5,23 +5,9 @@ finite-variation integrands, and the quadratic-variation clock.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import GridMismatch, Path, TimeGrid, grids_equal
-
-
-@dataclass(frozen=True)
-class QvClock:
-    """Nondecreasing reparameterization g(t) = int k^2 ds with total K = g(T)."""
-
-    grid: TimeGrid
-    g: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.g[-1])
+from .core import GridMismatch, Path, grids_equal
 
 
 def _require_shared_grid(a: Path, b: Path) -> None:
@@ -46,9 +32,10 @@ def rs_parts_form(k: Path, x: Path) -> Path:
     return Path(k.grid, values)
 
 
-def qv_clock(k: Path) -> QvClock:
-    """Discrete quadratic-variation clock of int k dW."""
+def qv_clock(k: Path) -> np.ndarray:
+    """Discrete quadratic-variation clock g(t_j) = sum_{i<j} k(t_i)^2 dt of
+    int k dW at every node of k's grid, read-only; g[-1] is the total K."""
     cells = k.values[:-1] ** 2 * k.grid.dt
     g = np.concatenate(([0.0], np.cumsum(cells)))
     g.setflags(write=False)
-    return QvClock(k.grid, g)
+    return g

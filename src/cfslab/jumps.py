@@ -129,22 +129,6 @@ def _cp_jumps(rng_gen, rate: float, mean: float, t0: float, t1: float):
     return times, sizes
 
 
-def gen_subordinator(grid: TimeGrid, spec: SubordinatorSpec, rng: RngStream) -> Path:
-    """Nondecreasing Levy path with L(t_start) = 0."""
-    g = rng.generator()
-    if spec.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
-        times, sizes = _cp_jumps(g, spec.jump_rate, spec.jump_mean,
-                                 grid.t_start, grid.t_end)
-        cum = np.concatenate(([0.0], np.cumsum(sizes)))
-        idx = np.searchsorted(times, grid.nodes, side="right")
-        values = cum[idx]
-        values[0] = 0.0
-    else:
-        inc = g.gamma(spec.shape * grid.dt, 1.0 / spec.rate, grid.n_steps)
-        values = np.concatenate(([0.0], np.cumsum(inc)))
-    return Path(grid, values)
-
-
 def _scaled_sub_events(spec: BnsSpec, rng_gen, t0: float, t1: float, dt: float):
     """Jump times/sizes of s -> L(decay * s) on [t0, t1].
 
@@ -221,8 +205,3 @@ def ctmc_states(grid: TimeGrid, spec: CtmcSpec, state: int, gen) -> np.ndarray:
     idx = np.clip(idx, 0, len(states) - 1)
     return np.asarray(states)[idx]
 
-
-def gen_ctmc_vol(grid: TimeGrid, spec: CtmcSpec, rng: RngStream) -> Path:
-    """Piecewise-constant volatility path of a continuous-time Markov chain."""
-    states = ctmc_states(grid, spec, spec.initial_state, rng.generator())
-    return Path(grid, spec.vol_levels[states])

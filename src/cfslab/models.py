@@ -216,9 +216,11 @@ class MixedFbm(ModelSpec):
             xi_w, xi_f = _fresh_normals(streams, m, 2)
         else:
             (xi_w,) = _fresh_normals(streams, m, 1)
-        w_hat = _cumsum0(xi_w * np.sqrt(grid_tail.dt))
+        xi_w *= np.sqrt(grid_tail.dt)
+        w_hat = _cumsum0(xi_w)
         if self.fbm_weight == 0.0:
-            return ctx.z_t + w_hat
+            w_hat += ctx.z_t
+            return w_hat
         fbm = ctx.frozen["fbm"]
         if not redraw:
             det = self.fbm_weight * (fbm[i0:] - fbm[i0])
@@ -638,14 +640,6 @@ def check_context(
             f"grid_tail {grid_tail} does not extend the context grid from "
             f"node {ctx.t_index}"
         )
-
-
-def continue_conditional(
-    spec: ModelSpec, ctx: ConditioningContext, grid_tail: TimeGrid, rng: RngStream
-) -> Path:
-    """One conditional continuation on [t_under, T], starting at z(t_under)."""
-    block = continue_chunk(spec, ctx, grid_tail, [rng])
-    return Path(grid_tail, block[0])
 
 
 def cell_noise_scale(

@@ -18,6 +18,7 @@ from .core import (
     Classification,
     DegenerateClock,
     Estimate,
+    GridMismatch,
     Path,
     RngStream,
     TimeGrid,
@@ -30,15 +31,15 @@ from .models import (  # the REASON_ constants are re-exported
     REASON_ENDPOINT_PIN,
     REASON_POSITIVITY,
     ConditioningContext,
+    MixedFbm,
     ModelSpec,
-    _cumsum0,
-    _fresh_normals,
     cell_noise_scale,
     check_context,
     iter_continuations,
 )
 
 _THIN_STREAM = 101  # child index for excursion-thinning uniforms
+_TILE_ROWS = 32  # rows per deviation tile
 
 
 def _bridge_survival(d: np.ndarray, eps: float, s2: np.ndarray) -> np.ndarray:
@@ -149,20 +150,25 @@ def estimate_many(
         group_of = [groups.setdefault(targets[row].tobytes(), len(groups))
                     for row in range(len(live))]
         first = [group_of.index(gi) for gi in range(len(groups))]
-        buf: np.ndarray | None = None
+        buf = np.empty((_TILE_ROWS, grid_tail.n_nodes))
         for start, block in iter_continuations(
             spec, ctx, grid_tail, rng, reps, chunk_size
         ):
-            rel = block - block[:, :1]
-            if buf is None or buf.shape != rel.shape:
-                buf = np.empty_like(rel)
+            # The block is fresh, so deviations are taken in place; copying
+            # the start column keeps numpy off its slower overlap path.
+            rel = block
+            rel -= block[:, :1].copy()
             # One deviation pass per distinct target; queries differing only
             # in eps reuse it, which keeps hit sets nested across radii.
+            # Rows go in tiles, so a tile stays in cache across targets.
             dev = np.empty((len(groups), rel.shape[0]))
-            for gi in range(len(groups)):
-                np.subtract(rel, targets[first[gi]][None, :], out=buf)
-                np.abs(buf, out=buf)
-                buf.max(axis=1, out=dev[gi])
+            for lo in range(0, rel.shape[0], _TILE_ROWS):
+                tile = rel[lo : lo + _TILE_ROWS]
+                out = buf[: len(tile)]
+                for gi in range(len(groups)):
+                    np.subtract(tile, targets[first[gi]], out=out)
+                    np.abs(out, out=out)
+                    out.max(axis=1, out=dev[gi, lo : lo + len(tile)])
             if s2 is None:
                 for row, gi in enumerate(group_of):
                     hits[live[row]] += int(np.count_nonzero(dev[gi] < eps[row]))
@@ -196,7 +202,7 @@ def brownian_smallball_series(k_total: float, eps: float) -> float:
     (4/pi) * sum_{n>=0} (-1)^n / (2n+1) * exp(-(2n+1)^2 pi^2 K / (8 eps^2)),
     truncated when terms drop below 1e-15.
     """
-    if k_total < 0 or eps <= 0:
+    if not (k_total >= 0 and eps > 0):
         raise BadParams("need K >= 0 and eps > 0")
     if k_total == 0.0:
         return 1.0
@@ -224,32 +230,23 @@ def timechanged_smallball(
     The integral is a Brownian motion run on the clock g(t) = int k^2 ds,
     so the tube around f equals the Brownian tube around f composed with
     the inverse clock, on [0, K]. The inverse clock is computed by
-    monotone piecewise-linear inversion; plateau cells collapse. Node hits
-    are thinned by the within-cell bridge exit probability, matching the
+    monotone piecewise-linear inversion; plateau cells collapse. The
+    estimate is a Brownian tube query on the clock grid, so node hits are
+    thinned by the within-cell bridge exit probability, matching the
     corrected direct estimator.
     """
     if eps <= 0:
         raise BadParams("eps must be positive")
-    clock = qv_clock(k)
-    k_total = clock.total
-    if k_total <= 0:
+    if not grids_equal(k.grid, f.grid):
+        raise GridMismatch("integrand and target must share a grid")
+    g = qv_clock(k)
+    if g[-1] <= 0:
         raise DegenerateClock("integrand has zero quadratic variation")
-    grid_u = make_grid(0.0, k_total, k.grid.n_steps)
-    target_u = np.interp(np.asarray(grid_u.nodes), clock.g, f.values)
-    hits = 0
-    sdt = np.sqrt(grid_u.dt)
-    s2 = np.full(grid_u.n_steps, grid_u.dt)
-    for start in range(0, reps, chunk_size):
-        stop = min(start + chunk_size, reps)
-        (xi,) = _fresh_normals(rng.children(range(start, stop)),
-                               grid_u.n_steps, 1)
-        d = _cumsum0(xi * sdt) - target_u[None, :]
-        inside = np.max(np.abs(d), axis=1) < eps
-        idx = np.nonzero(inside)[0]
-        surv = _bridge_survival(d[idx], eps, s2)
-        u = _thinning_uniforms(rng, start, stop - start, 1)[:, 0]
-        hits += int(np.count_nonzero(u[idx] < surv))
-    return make_estimate(hits, reps)
+    grid_u = make_grid(0.0, float(g[-1]), k.grid.n_steps)
+    target_u = np.interp(np.asarray(grid_u.nodes), g, f.values)
+    ctx0 = ConditioningContext(MixedFbm.tag, grid_u, 0, np.zeros(1), {})
+    query = SmallBallQuery(0, Path(grid_u, target_u), eps)
+    return estimate_many(MixedFbm(), ctx0, [query], reps, rng, chunk_size)[0]
 
 
 def mc_tube_probability(

@@ -1,4 +1,6 @@
 """Dense reference formulas that tests compare the library against."""
+import math
+
 import numpy as np
 
 
@@ -29,3 +31,17 @@ def vol_log_price(z0: float, g: np.ndarray, dw: np.ndarray, dt: float,
             z[r, i + 1] = (z[r, i] + (mu - 0.5 * g[r, i] ** 2) * dt
                            + root * g[r, i] * dw[r, i] + rho * g[r, i] * db[i])
     return z
+
+
+def cir_variance(v0: float, kappa: float, theta: float, xi: float, dt: float,
+                 db: np.ndarray) -> np.ndarray:
+    """Full-truncation Euler CIR variance by a plain scalar loop over the
+    Brownian increments `db`:
+    v_{i+1} = v_i + kappa (theta - v_i^+) dt + xi sqrt(v_i^+) db_i.
+    """
+    v = np.empty(len(db) + 1)
+    v[0] = v0
+    for i, d in enumerate(db):
+        vp = max(v[i], 0.0)
+        v[i + 1] = v[i] + kappa * (theta - vp) * dt + xi * math.sqrt(vp) * d
+    return v

@@ -74,6 +74,15 @@ class TestSmallballCommand:
             main(["smallball", "--help"])
         assert "smallball runs on one thread" in capsys.readouterr().out
 
+    def test_format_flag_rejected(self, tmp_path, capsys):
+        # smallball writes one CSV row; --format belongs to battery only
+        with pytest.raises(SystemExit) as exc:
+            main(["smallball", "--seed", "1", "--reps", "200",
+                  "--out", str(tmp_path), "--format", "json"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "model = doleans\nn_steps = 128\nreps = 500\n")
         code, out, _ = run(

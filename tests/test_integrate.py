@@ -75,15 +75,16 @@ class TestQvClock:
     def test_affine_integrand_total(self):
         t = np.asarray(GRID.nodes)
         k = Path(GRID, 1.0 + t)
-        c = qv_clock(k)
+        g = qv_clock(k)
         # int_0^1 (1+s)^2 ds = 7/3; left-point rule converges from below
-        assert c.total == pytest.approx(7.0 / 3.0, abs=0.02)
-        assert np.all(np.diff(c.g) >= 0)
-        assert c.g[0] == 0.0
+        assert g[-1] == pytest.approx(7.0 / 3.0, abs=0.02)
+        assert np.all(np.diff(g) >= 0)
+        assert g[0] == 0.0
+        assert g.shape == (GRID.n_nodes,) and not g.flags.writeable
 
     def test_zero_integrand_gives_zero_clock(self):
         k = Path(GRID, np.zeros(GRID.n_nodes))
-        assert qv_clock(k).total == 0.0
+        assert qv_clock(k)[-1] == 0.0
 
 
 class TestDoleans:

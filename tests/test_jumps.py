@@ -10,9 +10,8 @@ from cfslab.jumps import (
     CtmcSpec,
     SubordinatorKind,
     SubordinatorSpec,
+    ctmc_states,
     gen_bns_vol,
-    gen_ctmc_vol,
-    gen_subordinator,
 )
 
 GRID = make_grid(0.0, 1.0, 64)
@@ -22,17 +21,22 @@ GAMMA = SubordinatorSpec(SubordinatorKind.GAMMA, shape=3.0, rate=2.0)
 
 
 class TestSubordinator:
+    # the subordinator enters only as the driver of the BNS volatility
     @pytest.mark.parametrize("spec", [CP, GAMMA], ids=["cp", "gamma"])
-    def test_nondecreasing_from_zero(self, spec):
+    def test_undecayed_vol_nondecreasing(self, spec):
+        # e^{decay t} V(t) = V(0) + sum of weighted jumps, each >= 0
+        bns = BnsSpec(subordinator=spec, decay=1.0)
+        grow = np.exp(bns.decay * np.asarray(GRID.nodes))
         for r in range(50):
-            v = gen_subordinator(GRID, spec, RngStream(1, 0).child(r)).values
-            assert v[0] == 0.0
-            assert np.all(np.diff(v) >= 0.0)
+            u = grow * gen_bns_vol(GRID, bns, RngStream(1, 0).child(r)).values
+            assert np.all(np.diff(u) >= -1e-12 * u[:-1])
 
     @pytest.mark.parametrize("spec", [CP, GAMMA], ids=["cp", "gamma"])
     def test_unit_mean(self, spec):
+        # E V(t) = int e^{-decay (t-s)} decay E L(1) ds = E L(1)
+        bns = BnsSpec(subordinator=spec, decay=1.0)
         finals = np.array(
-            [gen_subordinator(GRID, spec, RngStream(2, 0).child(r)).values[-1]
+            [gen_bns_vol(GRID, bns, RngStream(2, 0).child(r)).values[-1]
              for r in range(3000)]
         )
         se = np.std(finals) / np.sqrt(finals.size)
@@ -41,7 +45,8 @@ class TestSubordinator:
     def test_zero_rate_is_flat(self):
         spec = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
                                 jump_rate=0.0, jump_mean=1.0)
-        v = gen_subordinator(GRID, spec, RngStream(3, 0)).values
+        bns = BnsSpec(subordinator=spec, decay=2.0)
+        v = gen_bns_vol(GRID, bns, RngStream(3, 0)).values
         assert np.all(v == 0.0)
 
     def test_param_validation(self):
@@ -79,17 +84,20 @@ class TestCtmc:
     SPEC = CtmcSpec(generator=((-2.0, 2.0), (3.0, -3.0)),
                     vol_levels=(0.1, 0.4), initial_state=0)
 
+    def _states(self, grid, rng):
+        return ctmc_states(grid, self.SPEC, self.SPEC.initial_state,
+                           rng.generator())
+
     def test_values_are_levels(self):
         for r in range(50):
-            v = gen_ctmc_vol(GRID, self.SPEC, RngStream(6, 0).child(r)).values
+            v = self.SPEC.vol_levels[self._states(GRID, RngStream(6, 0).child(r))]
             assert set(np.unique(v)) <= {0.1, 0.4}
             assert v[0] == 0.1
 
     def test_occupation_matches_stationary(self):
         # stationary distribution of the 2-state chain: (3/5, 2/5)
         grid = make_grid(0.0, 50.0, 2000)
-        v = gen_ctmc_vol(grid, self.SPEC, RngStream(7, 0)).values
-        frac_low = np.mean(v == 0.1)
+        frac_low = np.mean(self._states(grid, RngStream(7, 0)) == 0)
         assert frac_low == pytest.approx(0.6, abs=0.1)
 
     def test_generator_validation(self):
@@ -114,6 +122,6 @@ class TestCtmc:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_reproducible(self, seed):
-        a = gen_ctmc_vol(GRID, self.SPEC, RngStream(seed, 2)).values
-        b = gen_ctmc_vol(GRID, self.SPEC, RngStream(seed, 2)).values
+        a = self._states(GRID, RngStream(seed, 2))
+        b = self._states(GRID, RngStream(seed, 2))
         assert np.array_equal(a, b)

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import vol_log_price
+from oracles import cir_variance, vol_log_price
 
 from cfslab import jumps
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
@@ -22,7 +22,7 @@ from cfslab.models import (
     SdePrice,
     WienerIntegral,
     cell_noise_scale,
-    continue_conditional,
+    continue_chunk,
     iter_continuations,
     simulate,
     validate_spec,
@@ -84,8 +84,8 @@ class TestContinuation:
         spec = get_preset(name)
         _, ctx = simulate(spec, GRID, RngStream(7, 0), MID)
         tail = tail_grid(GRID, MID)
-        p = continue_conditional(spec, ctx, tail, RngStream(7, 1))
-        assert p.values[0] == ctx.z_t
+        p = continue_chunk(spec, ctx, tail, [RngStream(7, 1)])[0]
+        assert p[0] == ctx.z_t
 
     @pytest.mark.parametrize("name", preset_names())
     def test_chunk_invariance(self, name):
@@ -106,7 +106,7 @@ class TestContinuation:
         _, ctx = simulate(spec, GRID, RngStream(9, 0), MID)
         tail = tail_grid(GRID, MID)
         finals = np.array(
-            [continue_conditional(spec, ctx, tail, RngStream(9, 1).child(r)).values[-1]
+            [continue_chunk(spec, ctx, tail, [RngStream(9, 1).child(r)])[0][-1]
              for r in range(3000)]
         ) - ctx.z_t
         se = 4.0 / np.sqrt(3000)
@@ -119,16 +119,16 @@ class TestContinuation:
         tail = tail_grid(GRID, MID)
         terminal = float(ctx.frozen["terminal"])
         for r in range(20):
-            p = continue_conditional(spec, ctx, tail, RngStream(10, 1).child(r))
-            assert p.values[-1] == terminal
+            p = continue_chunk(spec, ctx, tail, [RngStream(10, 1).child(r)])[0]
+            assert p[-1] == terminal
 
     def test_doleans_continuation_positive(self):
         spec = get_preset("doleans")
         _, ctx = simulate(spec, GRID, RngStream(11, 0), MID)
         tail = tail_grid(GRID, MID)
         for r in range(20):
-            p = continue_conditional(spec, ctx, tail, RngStream(11, 1).child(r))
-            assert np.all(p.values > 0.0)
+            p = continue_chunk(spec, ctx, tail, [RngStream(11, 1).child(r)])[0]
+            assert np.all(p > 0.0)
 
     def test_fixed_mode_freezes_independent_driver(self):
         # With the volatility path frozen and rho = 0, two continuations
@@ -140,7 +140,7 @@ class TestContinuation:
         g = ctx.frozen["g"][MID:]
         predicted = float(np.sum(g[:-1] ** 2) * tail.dt)
         finals = np.array(
-            [continue_conditional(spec, ctx, tail, RngStream(12, 1).child(r)).values[-1]
+            [continue_chunk(spec, ctx, tail, [RngStream(12, 1).child(r)])[0][-1]
              for r in range(3000)]
         )
         assert np.var(finals) == pytest.approx(predicted, rel=0.15)
@@ -150,7 +150,7 @@ class TestContinuation:
         _, ctx = simulate(spec, GRID, RngStream(13, 0), MID)
         tail = tail_grid(GRID, MID)
         finals = np.array(
-            [continue_conditional(spec, ctx, tail, RngStream(13, 1).child(r)).values[-1]
+            [continue_chunk(spec, ctx, tail, [RngStream(13, 1).child(r)])[0][-1]
              for r in range(2000)]
         )
         # Brownian part contributes tail.span; fBm part adds a strictly
@@ -179,11 +179,11 @@ class TestRegimeState:
         spec = Regime(ctmc=self.CTMC, hk_mode=HkMode.REDRAW)
         _, ctx = simulate(spec, GRID, RngStream(17, 0), MID)
         tail = tail_grid(GRID, MID)
-        p = continue_conditional(spec, ctx, tail, RngStream(17, 1))
+        p = continue_chunk(spec, ctx, tail, [RngStream(17, 1)])[0]
         xi = RngStream(17, 1).generator().standard_normal(tail.n_steps)
         inc = -0.5 * 0.04 * tail.dt + 0.2 * np.sqrt(tail.dt) * xi
         expected = ctx.z_t + np.concatenate(([0.0], np.cumsum(inc)))
-        assert np.allclose(p.values, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(p, expected, rtol=0.0, atol=1e-12)
 
 
 class TestLogPriceOracle:
@@ -221,6 +221,31 @@ class TestLogPriceOracle:
         expected = vol_log_price(0.0, ctx.frozen["g"][:-1], dw, self.GRID.dt,
                                  spec.mu, spec.rho, ctx.frozen["db"])[0]
         assert np.allclose(path.values, expected, rtol=0.0, atol=1e-12)
+
+    def test_heston_redraw_continuation(self):
+        # variance and log price advance together in one fused Euler loop
+        spec = get_preset("heston")  # REDRAW
+        c = spec.cir
+        i0 = self.RESTART
+        _, ctx = simulate(spec, self.GRID, RngStream(22, 0), i0)
+        history_v = cir_variance(c.v0, c.kappa, c.theta, c.xi, self.GRID.dt,
+                                 ctx.frozen["db"])
+        assert np.allclose(ctx.frozen["v"], history_v, rtol=0.0, atol=1e-12)
+        tail = tail_grid(self.GRID, i0)
+        rng = RngStream(22, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 64)])
+        sdt = np.sqrt(tail.dt)
+        for r, row in enumerate(block):
+            gen = rng.child(r).generator()
+            xi_w = gen.standard_normal(tail.n_steps)
+            xi_b = gen.standard_normal(tail.n_steps)
+            v = cir_variance(float(ctx.frozen["v"][i0]), c.kappa, c.theta,
+                             c.xi, tail.dt, sdt * xi_b)
+            g = np.sqrt(np.clip(v[:-1], 0.0, None))
+            expected = vol_log_price(ctx.z_t, g, sdt * xi_w, tail.dt, spec.mu,
+                                     spec.rho, sdt * xi_b)[0]
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 
     def test_heston_fixed_continuation(self):
         spec = dataclasses.replace(get_preset("heston"), hk_mode=HkMode.FIXED)

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
+    BadParams,
     BadQuery,
     Classification,
     IncompatibleContext,
     DegenerateClock,
+    GridMismatch,
     Path,
     RngStream,
     constant_path,
@@ -46,6 +48,11 @@ class TestSeries:
 
     def test_zero_clock(self):
         assert brownian_smallball_series(0.0, 0.5) == 1.0
+
+    @pytest.mark.parametrize("k_total, eps", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_rejected(self, k_total, eps):
+        with pytest.raises(BadParams):
+            brownian_smallball_series(k_total, eps)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 10.0), st.floats(0.05, 5.0))
@@ -265,6 +272,24 @@ class TestTimechanged:
         k = constant_path(GRID, 0.0)
         f = constant_path(GRID, 0.0)
         with pytest.raises(DegenerateClock):
+            timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
+
+    def test_target_on_other_grid_rejected(self):
+        k = constant_path(GRID, 1.0)
+        f = constant_path(make_grid(0.0, 2.0, GRID.n_steps), 0.0)
+        with pytest.raises(GridMismatch):
+            timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
+
+    def test_target_with_other_step_count_rejected(self):
+        k = constant_path(GRID, 1.0)
+        f = constant_path(make_grid(0.0, 1.0, 2 * GRID.n_steps), 0.0)
+        with pytest.raises(GridMismatch):
+            timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
+
+    def test_target_not_vanishing_at_start_rejected(self):
+        k = constant_path(GRID, 1.0)
+        f = constant_path(GRID, 5.0)
+        with pytest.raises(BadQuery):
             timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
 
     def test_agrees_with_direct_estimator(self):
