@@ -5,7 +5,8 @@ With BLAS pinned to one thread, runs at fixed seeds:
 - one coarse battery per preset (every preset, restarts 0, 1/4, 1/2 and
   3/4 on 2^8 steps, 1000 replications), writing CSV, JSON and PLOTDATA;
 - the default seven-model battery at 1000 replications on 2^11 steps;
-- a few smallball queries;
+- a few smallball queries at `--workers 2`, so that comparing listings
+  also checks the threaded counts against a parent's bytes;
 - raw continuation bytes of the presets whose REDRAW branch no preset
   selects (`bns`, `comte_renault`, `regime`), and of the presets whose
   FIXED branch no preset selects (`heston`, `mixed_fbm_h075`), at restarts
@@ -93,8 +94,9 @@ def write_outputs(out: Path) -> None:
     _run(["battery", "--reps", "1000", "--workers", "2"], out,
          f"models = {','.join(catalog.DEFAULT_BATTERY)}\n")
     for model, eps, t_frac, extra in SMALLBALL:
-        _run(["smallball", "--reps", "5000", "--model", model,
-              "--epsilon", str(eps), "--t-frac", str(t_frac)], out, extra)
+        _run(["smallball", "--reps", "5000", "--workers", "2",
+              "--model", model, "--epsilon", str(eps), "--t-frac", str(t_frac)],
+             out, extra)
     for name in ("bns", "comte_renault", "regime"):
         spec = dataclasses.replace(catalog.get_preset(name),
                                    hk_mode=HkMode.REDRAW)

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     make_grid,
     tail_grid,
 )
-from .models import FAMILIES, simulate
+from .models import FAMILIES, chunk_threads, simulate
 from .smallball import SmallBallQuery, estimate_smallball
 from .suite import (
     CSV_HEADER,
@@ -110,7 +111,11 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     """Merge defaults, config file, and flags (flag wins)."""
     config = dict(_DEFAULTS)
     if args.config is not None:
-        config.update(_parse_config_file(args.config))
+        from_file = _parse_config_file(args.config)
+        if args.command == "smallball" and "format" in from_file:
+            # as with the flag: smallball writes one CSV row, nothing else
+            raise ConfigError("key 'format': not a smallball key")
+        config.update(from_file)
     for key in ("seed", "reps", "workers", "out", "format",
                 "model", "epsilon", "t_frac"):
         flag = getattr(args, key, None)
@@ -155,8 +160,11 @@ def cmd_smallball(config) -> int:
                            float(config["amplitude"]),
                            int(config["n_segments"]))
     query = SmallBallQuery(t_index, target, float(config["epsilon"]))
-    est = estimate_smallball(spec, ctx, query, int(config["reps"]),
-                             rng.child(1))
+    reps, workers = int(config["reps"]), int(config["workers"])
+    t0 = time.perf_counter()
+    est = estimate_smallball(spec, ctx, query, reps, rng.child(1), workers)
+    wall = time.perf_counter() - t0
+    threads = 0 if est.reason is not None else chunk_threads(workers, reps)
     row = BatteryRow(spec.name, float(config["t_frac"]), style.value,
                      float(config["amplitude"]), float(config["epsilon"]), est)
     path = _out_path(config, spec.name, "smallball", "csv")
@@ -166,6 +174,8 @@ def cmd_smallball(config) -> int:
     print(f"{spec.name}: p_hat={est.p_hat:.6g} "
           f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}] "
           f"classification={est.classification.value}")
+    print(f"{reps} replications in {wall:.1f} s on {threads} thread(s), "
+          f"{workers} requested")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -233,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (u64)")
         p.add_argument("--reps", type=int, help="Monte Carlo replications")
         p.add_argument("--workers", type=int, help=(
-            "unused: smallball runs on one thread" if name == "smallball"
+            "threads for the replication chunks, at most the CPUs and the "
+            "chunks" if name == "smallball"
             else "worker processes, at most the CPUs and the cells"))
         p.add_argument("--out", help="output directory")
         if name == "battery":

@@ -277,6 +277,50 @@ def philox_keys(entropy: np.ndarray) -> np.ndarray:
     return keys
 
 
+# Philox4x64-10 (Salmon et al., SC 2011; numpy/random/src/philox/philox.h):
+# round multipliers and Weyl key increments
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(_MASK32)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products a * b."""
+    a_lo, a_hi = a & _LO32, a >> _S32
+    b_lo, b_hi = b & _LO32, b >> _S32
+    p0, p1, p2 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (p0 >> _S32) + (p1 & _LO32) + (p2 & _LO32)
+    hi = a_hi * b_hi + (p1 >> _S32) + (p2 >> _S32) + (mid >> _S32)
+    return hi, a * b
+
+
+def philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """`generator(key).random(n)` for each row of the (rows, 2) uint64
+    Philox keys `keys`, as one (rows, n) array.
+
+    numpy's Philox draws block b (of four 64-bit words) from counter
+    (b + 1, 0, 0, 0), and `random` keeps the top 53 bits of each word. Here
+    every row's blocks go through the ten rounds at once.
+    """
+    rows = keys.shape[0]
+    n_blocks = -(-n // 4)
+    k0 = np.repeat(keys[:, 0], n_blocks)
+    k1 = np.repeat(keys[:, 1], n_blocks)
+    c0 = np.tile(np.arange(1, n_blocks + 1, dtype=np.uint64), rows)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    with np.errstate(over="ignore"):
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=1).reshape(rows, 4 * n_blocks)
+    return (words[:, :n] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ChildStreams(Sequence):
     """The streams `parent.child(i).child(s_1)...child(s_k)` for i in

@@ -10,6 +10,7 @@ mode allows; everything else is read from the frozen context.
 from __future__ import annotations
 
 import enum
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
@@ -120,14 +121,15 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fresh_normals(streams: Sequence[RngStream], m: int,
-                   n_sources: int) -> list[np.ndarray]:
-    """Per-replication standard normals, one row per stream.
+def _fresh_normals(streams: Sequence[RngStream], m: int, n_sources: int,
+                   out: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per-replication standard normals, one row per stream, drawn into
+    `out` (shape (rows, n_sources * m), rows contiguous) if given.
 
     Each replication draws from its own counter-based stream in a fixed
     source order, so results do not depend on chunking or worker count.
     """
-    flat = np.empty((len(streams), n_sources * m))
+    flat = np.empty((len(streams), n_sources * m)) if out is None else out
     for row, gen in zip(flat, generators(streams)):
         gen.standard_normal(out=row)
     return [flat[:, i * m : (i + 1) * m] for i in range(n_sources)]
@@ -212,12 +214,18 @@ class MixedFbm(ModelSpec):
         i0 = ctx.t_index
         m = grid_tail.n_steps
         redraw = self.hk_mode is HkMode.REDRAW
+        # W is scaled and summed in place over whole rows, whose leading
+        # zero stays zero; a one-source chunk draws its normals straight
+        # into the rows, so it holds one (rows, m + 1) array
+        w_hat = np.empty((len(streams), m + 1))
+        w_hat[:, 0] = 0.0
         if redraw and self.fbm_weight > 0:
             xi_w, xi_f = _fresh_normals(streams, m, 2)
+            w_hat[:, 1:] = xi_w
         else:
-            (xi_w,) = _fresh_normals(streams, m, 1)
-        xi_w *= np.sqrt(grid_tail.dt)
-        w_hat = _cumsum0(xi_w)
+            _fresh_normals(streams, m, 1, out=w_hat[:, 1:])
+        w_hat *= np.sqrt(grid_tail.dt)
+        np.cumsum(w_hat, axis=1, out=w_hat)
         if self.fbm_weight == 0.0:
             w_hat += ctx.z_t
             return w_hat
@@ -675,6 +683,50 @@ def iter_continuations(
         stop = min(start + chunk_size, reps)
         yield start, continue_chunk(
             spec, ctx, grid_tail, rng.children(range(start, stop)))
+
+
+def chunk_threads(workers: int, reps: int, chunk_size: int = 1024) -> int:
+    """Threads `map_continuations` runs: the request capped at the CPU
+    count and the number of chunks."""
+    if workers < 1:
+        raise BadParams(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, -(-reps // chunk_size))
+
+
+def map_continuations(
+    fn: Callable[[int, np.ndarray], object],
+    spec: ModelSpec,
+    ctx: ConditioningContext,
+    grid_tail: TimeGrid,
+    rng: RngStream,
+    reps: int,
+    chunk_size: int = 1024,
+    workers: int = 1,
+) -> list:
+    """`[fn(start, block)]` over the chunks of `iter_continuations`, in
+    chunk order, with the chunks run on up to `workers` threads.
+
+    Every replication has its own stream, so each chunk's result is the
+    same whichever thread computes it. The threads overlap because
+    numpy's random fills and array passes release the GIL; `fn` must only
+    read shared state. The thread count is the request capped at the CPU
+    count and the number of chunks (`chunk_threads`). An exception raised
+    in any chunk is re-raised here, and the chunks not yet started are
+    cancelled.
+    """
+    n_threads = chunk_threads(workers, reps, chunk_size)
+    starts = range(0, reps, chunk_size)
+
+    def run(start: int):
+        streams = rng.children(range(start, min(start + chunk_size, reps)))
+        return fn(start, continue_chunk(spec, ctx, grid_tail, streams))
+
+    if n_threads <= 1:
+        return list(map(run, starts))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_threads) as pool:
+        return list(pool.map(run, starts))
 
 
 def continue_chunk(

@@ -25,6 +25,7 @@ from .core import (
     grids_equal,
     make_estimate,
     make_grid,
+    philox_uniforms,
 )
 from .integrate import qv_clock
 from .models import (  # the REASON_ constants are re-exported
@@ -35,7 +36,7 @@ from .models import (  # the REASON_ constants are re-exported
     ModelSpec,
     cell_noise_scale,
     check_context,
-    iter_continuations,
+    map_continuations,
 )
 
 _THIN_STREAM = 101  # child index for excursion-thinning uniforms
@@ -57,24 +58,25 @@ def _bridge_survival(d: np.ndarray, eps: float, s2: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         inv = np.where(s2 > 0.0, 1.0 / np.where(s2 > 0.0, s2, 1.0), np.inf)
     near = np.abs(d) > eps - np.sqrt(19.0 * s2.max())
-    rows, cells = np.nonzero(near[:, :-1] | near[:, 1:])
+    near = near[:, :-1] | near[:, 1:]
+    # flat indices: numpy's two-dimensional nonzero is far slower
+    rows, cells = np.divmod(np.flatnonzero(near), near.shape[1])
     a, b, inv = d[rows, cells], d[rows, cells + 1], inv[cells]
     p_up = np.exp(-2.0 * (eps - a) * (eps - b) * inv)
     p_dn = np.exp(-2.0 * (eps + a) * (eps + b) * inv)
-    factor = np.ones((d.shape[0], d.shape[1] - 1))
-    factor[rows, cells] = np.clip(1.0 - p_up - p_dn, 0.0, 1.0)
-    return np.prod(factor, axis=1)
+    # Every other factor is 1.0, so multiplying a row's evaluated factors
+    # in cell order equals the sequential product over all its cells.
+    surv = np.ones(d.shape[0])
+    np.multiply.at(surv, rows, np.clip(1.0 - p_up - p_dn, 0.0, 1.0))
+    return surv
 
 
 def _thinning_uniforms(rng: RngStream, start: int, n_rows: int,
                        n_groups: int) -> np.ndarray:
     """One uniform per target group for replications start, ..., start +
     n_rows - 1, replication r from the stream rng.child(r).child(_THIN_STREAM)."""
-    u = np.empty((n_rows, n_groups))
     streams = rng.children(range(start, start + n_rows), (_THIN_STREAM,))
-    for out, gen in zip(u, streams.generators()):
-        gen.random(out=out)
-    return u
+    return philox_uniforms(streams.keys(), n_groups)
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,17 @@ def estimate_many(
     reps: int,
     rng: RngStream,
     chunk_size: int = 1024,
+    workers: int = 1,
 ) -> list[Estimate]:
     """Estimate several tube queries on shared conditional continuations.
 
     All queries are evaluated on the same replication paths (one stream
     per replication index), so estimates are coherent across queries:
     shrinking eps can only shrink the hit set, and shifting the target is
-    identical to shifting the paths.
+    identical to shifting the paths. Chunks of replications run on up to
+    `workers` threads (see `map_continuations`); each returns its hit
+    counts and the counts are summed, so estimates do not depend on the
+    worker count.
 
     When the model's within-cell noise is conditionally Brownian with a
     known scale, node hits are thinned by the bridge exit probability, so
@@ -128,6 +134,8 @@ def estimate_many(
     """
     if reps < 1:
         raise BadParams("reps must be >= 1")
+    if workers < 1:
+        raise BadParams(f"workers must be >= 1, got {workers}")
     if not queries:
         return []
     t_indices = {q.t_index for q in queries}
@@ -150,35 +158,44 @@ def estimate_many(
         group_of = [groups.setdefault(targets[row].tobytes(), len(groups))
                     for row in range(len(live))]
         first = [group_of.index(gi) for gi in range(len(groups))]
-        buf = np.empty((_TILE_ROWS, grid_tail.n_nodes))
-        for start, block in iter_continuations(
-            spec, ctx, grid_tail, rng, reps, chunk_size
-        ):
-            # The block is fresh, so deviations are taken in place; copying
-            # the start column keeps numpy off its slower overlap path.
+
+        def count(start: int, block: np.ndarray) -> np.ndarray:
+            """Hits of each live query among the chunk's rows."""
+            # The block is fresh, so deviations are taken in place, tile by
+            # tile; copying the start column keeps numpy off its slower
+            # overlap path. One deviation pass per distinct target; queries
+            # differing only in eps reuse it, which keeps hit sets nested
+            # across radii. A tile stays in cache across targets.
             rel = block
-            rel -= block[:, :1].copy()
-            # One deviation pass per distinct target; queries differing only
-            # in eps reuse it, which keeps hit sets nested across radii.
-            # Rows go in tiles, so a tile stays in cache across targets.
+            buf = np.empty((_TILE_ROWS, grid_tail.n_nodes))
             dev = np.empty((len(groups), rel.shape[0]))
             for lo in range(0, rel.shape[0], _TILE_ROWS):
                 tile = rel[lo : lo + _TILE_ROWS]
+                tile -= tile[:, :1].copy()
                 out = buf[: len(tile)]
                 for gi in range(len(groups)):
                     np.subtract(tile, targets[first[gi]], out=out)
                     np.abs(out, out=out)
                     out.max(axis=1, out=dev[gi, lo : lo + len(tile)])
+            chunk_hits = np.zeros(len(live), dtype=np.int64)
             if s2 is None:
                 for row, gi in enumerate(group_of):
-                    hits[live[row]] += int(np.count_nonzero(dev[gi] < eps[row]))
-                continue
+                    chunk_hits[row] = np.count_nonzero(dev[gi] < eps[row])
+                return chunk_hits
             u = _thinning_uniforms(rng, start, rel.shape[0], len(groups))
             for row, gi in enumerate(group_of):
                 e = float(eps[row])
-                idx = np.nonzero(dev[gi] < e)[0]
-                surv = _bridge_survival(rel[idx] - targets[row], e, s2)
-                hits[live[row]] += int(np.count_nonzero(u[idx, gi] < surv))
+                inside = np.nonzero(dev[gi] < e)[0]
+                # survival per tile of inside rows, so its temporaries
+                # stay tile-sized
+                for lo in range(0, len(inside), _TILE_ROWS):
+                    idx = inside[lo : lo + _TILE_ROWS]
+                    surv = _bridge_survival(rel[idx] - targets[row], e, s2)
+                    chunk_hits[row] += np.count_nonzero(u[idx, gi] < surv)
+            return chunk_hits
+
+        hits[live] = sum(map_continuations(
+            count, spec, ctx, grid_tail, rng, reps, chunk_size, workers))
     return [
         make_estimate(int(hits[i]), reps, analytic_zero_reason=reasons[i])
         for i in range(len(queries))
@@ -191,9 +208,10 @@ def estimate_smallball(
     q: SmallBallQuery,
     reps: int,
     rng: RngStream,
+    workers: int = 1,
 ) -> Estimate:
     """Monte Carlo estimate of one conditional tube probability."""
-    return estimate_many(spec, ctx, [q], reps, rng)[0]
+    return estimate_many(spec, ctx, [q], reps, rng, workers=workers)[0]
 
 
 def brownian_smallball_series(k_total: float, eps: float) -> float:

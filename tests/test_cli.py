@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cfslab.cli import EXIT_CONFIG, EXIT_OK, main
+from cfslab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from cfslab.models import FAMILIES
 
 
@@ -69,10 +69,56 @@ class TestSmallballCommand:
         assert code == EXIT_CONFIG
         assert "amplitude" in err
 
-    def test_workers_help_says_one_thread(self, capsys):
+    def test_workers_help_describes_threads(self, capsys):
         with pytest.raises(SystemExit):
             main(["smallball", "--help"])
-        assert "smallball runs on one thread" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())
+        assert "threads for the replication chunks" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        code, _, err = run(
+            ["smallball", "--seed", "1", "--reps", "1000",
+             "--workers", workers, "--out", str(tmp_path),
+             "--config", _cfg(tmp_path, "n_steps = 128\n")], capsys)
+        assert code == EXIT_CONFIG
+        assert "workers must be >= 1" in err
+        assert not (tmp_path / "brownian_smallball_1.csv").exists()
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_csv_bytes_match_across_workers(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_steps = 128\n")
+        csv = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            out.mkdir()
+            code, summary, _ = run(
+                ["smallball", "--config", cfg, "--seed", "4", "--reps", "2100",
+                 "--workers", workers, "--out", str(out)], capsys)
+            assert code == EXIT_OK
+            assert f"on {workers} thread(s), {workers} requested" in summary
+            csv.append((out / "brownian_smallball_4.csv").read_bytes())
+        assert csv[0] == csv[1]
+
+    def test_summary_caps_threads_at_chunks(self, tmp_path, capsys):
+        code, out, _ = run(
+            ["smallball", "--seed", "3", "--reps", "1000", "--workers", "4",
+             "--out", str(tmp_path),
+             "--config", _cfg(tmp_path, "n_steps = 128\n")], capsys)
+        assert code == EXIT_OK
+        assert "1000 replications in" in out
+        assert "on 1 thread(s), 4 requested" in out
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_chunk_error_exits_numerical(self, tmp_path, capsys, fail_chunk):
+        fail_chunk(2048)
+        code, _, err = run(
+            ["smallball", "--seed", "1", "--reps", "5000", "--workers", "2",
+             "--out", str(tmp_path),
+             "--config", _cfg(tmp_path, "n_steps = 128\n")], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "chunk at 2048 overflowed" in err
+        assert not (tmp_path / "brownian_smallball_1.csv").exists()
 
     def test_format_flag_rejected(self, tmp_path, capsys):
         # smallball writes one CSV row; --format belongs to battery only
@@ -82,6 +128,16 @@ class TestSmallballCommand:
         assert exc.value.code == EXIT_CONFIG
         assert "--format" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_format_config_key_rejected(self, tmp_path, capsys):
+        # the config-file key is refused like the flag
+        cfg = _cfg(tmp_path, "n_steps = 128\nformat = json\n")
+        code, _, err = run(
+            ["smallball", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "format" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "model = doleans\nn_steps = 128\nreps = 500\n")

@@ -17,6 +17,7 @@ from cfslab.core import (
     grids_equal,
     make_estimate,
     make_grid,
+    philox_uniforms,
     tail_grid,
     wilson_interval,
 )
@@ -168,6 +169,20 @@ class TestChildStreams:
             pass
         assert [c[0] for c in calls] == list(streams)
         assert np.array_equal([c[1] for c in calls], streams.keys())
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 10])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_philox_uniforms_match_generator_random(self, seed, n):
+        # block b of four words comes from counter (b + 1, 0, 0, 0)
+        streams = RngStream(seed, 5, (1, 2)).children(self.INDICES, (101,))
+        u = philox_uniforms(streams.keys(), n)
+        ref = np.stack([s.generator().random(n) for s in streams])
+        assert u.dtype == np.float64 and u.shape == (len(self.INDICES), n)
+        assert u.tobytes() == ref.tobytes()
+
+    def test_philox_uniforms_empty(self):
+        keys = RngStream(1).children(range(3, 3)).keys()
+        assert philox_uniforms(keys, 2).shape == (0, 2)
 
     @pytest.mark.parametrize("seed, indices", [(-1, range(2)), (1, range(-1, 2))],
                              ids=["seed", "index"])

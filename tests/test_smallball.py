@@ -1,4 +1,8 @@
 """Conditional tube-probability estimation and its oracles."""
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,13 @@ from cfslab.core import (
     tail_grid,
 )
 from cfslab.gaussian import gen_brownian
-from cfslab.models import WienerIntegral, cell_noise_scale, simulate
+from cfslab.models import (
+    HkMode,
+    WienerIntegral,
+    cell_noise_scale,
+    chunk_threads,
+    simulate,
+)
 from cfslab.smallball import (
     _bridge_survival,
     REASON_ENDPOINT_PIN,
@@ -178,6 +188,74 @@ class TestEstimator:
         q = SmallBallQuery(0, constant_path(GRID, 0.0), 100.0)
         est = estimate_smallball(spec, ctx, q, 500, RngStream(8, 1))
         assert est.hits == 500
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestThreadedChunks:
+    """Chunks on two threads give the estimates of one thread."""
+
+    def _both(self, spec, ctx, queries, seed):
+        assert chunk_threads(2, 2100) == 2  # 3 chunks, the last ragged
+        one, two = (estimate_many(spec, ctx, queries, 2100,
+                                  RngStream(seed, 1), workers=w)
+                    for w in (1, 2))
+        assert one == two
+        assert any(e.hits for e in one)
+        return one
+
+    def test_debiased_brownian_six_targets(self):
+        # six distinct targets: each row's thinning draw spans two blocks
+        spec, ctx = _ctx("brownian")
+        assert cell_noise_scale(spec, ctx, GRID) is not None
+        t = np.asarray(GRID.nodes)
+        targets = [Path(GRID, a * t) for a in (-0.3, -0.1, 0.0, 0.1, 0.2, 0.4)]
+        self._both(spec, ctx, [SmallBallQuery(0, f, e) for f in targets
+                               for e in (0.6, 1.0)], 21)
+
+    @pytest.mark.parametrize("name, t_index, eps", [
+        ("mixed_fbm_h075", 128, (0.3, 0.6)), ("heston", 0, (0.1, 0.3))],
+        ids=["mixed_fbm_h075", "heston"])
+    def test_node_monitored(self, name, t_index, eps):
+        spec, ctx = _ctx(name, t_index=t_index)
+        tail = tail_grid(GRID, t_index)
+        if name == "mixed_fbm_h075":
+            assert spec.hk_mode is HkMode.REDRAW
+        self._both(spec, ctx, [SmallBallQuery(t_index, constant_path(tail, 0.0),
+                                              e) for e in eps], 22)
+
+    def test_many_threads_with_short_switch_interval(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter
+        # allows: a row or buffer shared between chunks would change hits
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        spec, ctx = _ctx("brownian")
+        t = np.asarray(GRID.nodes)
+        qs = [SmallBallQuery(0, Path(GRID, a * t), 0.8) for a in (-0.2, 0.0, 0.3)]
+        one = estimate_many(spec, ctx, qs, 2100, RngStream(25, 1), chunk_size=64)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eight = estimate_many(spec, ctx, qs, 2100, RngStream(25, 1),
+                                  chunk_size=64, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == eight
+        assert threading.active_count() == threads
+
+    def test_chunk_error_reaches_caller(self, fail_chunk):
+        spec, ctx = _ctx("brownian")
+        q = SmallBallQuery(0, constant_path(GRID, 0.0), 1.0)
+        fail_chunk(1024)
+        with pytest.raises(FloatingPointError, match="chunk at 1024"):
+            estimate_many(spec, ctx, [q], 2100, RngStream(23, 1), workers=2)
+
+    def test_workers_below_one_rejected(self):
+        spec, ctx = _ctx("doleans")
+        # an analytic zero runs no chunk, and is still checked
+        q = SmallBallQuery(0, Path(GRID, -2.0 * np.asarray(GRID.nodes)), 0.5)
+        assert detect_analytic_zero(spec, ctx, q) is not None
+        with pytest.raises(BadParams, match="workers must be >= 1"):
+            estimate_many(spec, ctx, [q], 100, RngStream(24, 1), workers=0)
 
 
 def _cumsum_rows(x):

@@ -1,7 +1,6 @@
 """Target families, battery runs, and report rendering."""
 import json
 import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +118,6 @@ class NotPd(ModelSpec):
 
     def history(self, grid, rng):
         raise CovarianceNotPD("test covariance is not positive definite")
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two CPUs whatever the host has, so that workers=2 starts the pool."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 @pytest.mark.usefixtures("two_cpus")
