@@ -36,10 +36,6 @@ class ZeroReps(CfsError):
     pass
 
 
-class NotPowerOfTwo(CfsError):
-    pass
-
-
 class HurstOutOfRange(CfsError):
     pass
 

@@ -8,8 +8,9 @@ parts, and Brownian bridges.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,7 +20,6 @@ from .core import (
     BadParams,
     CovarianceNotPD,
     HurstOutOfRange,
-    NotPowerOfTwo,
     Path,
     RngStream,
     TimeGrid,
@@ -59,32 +59,6 @@ def gen_brownian(grid: TimeGrid, rng: RngStream) -> Path:
     g = rng.generator()
     inc = g.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
     values = np.concatenate(([0.0], np.cumsum(inc)))
-    return Path(grid, values)
-
-
-def gen_brownian_alt(grid: TimeGrid, rng: RngStream) -> Path:
-    """Brownian motion by midpoint (Levy) refinement.
-
-    Same law as gen_brownian but an algorithmically distinct construction:
-    the terminal value is drawn first and interior nodes are filled in by
-    conditional bisection. n_steps must be a power of two.
-    """
-    n = grid.n_steps
-    if n & (n - 1) != 0:
-        raise NotPowerOfTwo(f"n_steps {n} is not a power of two")
-    g = rng.generator()
-    values = np.zeros(n + 1)
-    values[n] = np.sqrt(grid.span) * g.standard_normal()
-    step = n
-    while step > 1:
-        half = step // 2
-        left = np.arange(0, n, step)
-        mid = left + half
-        right = left + step
-        span = step * grid.dt
-        noise = g.standard_normal(left.size) * np.sqrt(span / 4.0)
-        values[mid] = 0.5 * (values[left] + values[right]) + noise
-        step = half
     return Path(grid, values)
 
 
@@ -133,7 +107,22 @@ def _toeplitz_schur(c: np.ndarray) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=32)
+def _cache_one(fn):
+    """`lru_cache(maxsize=1)` whose miss is computed once per process:
+    calls hold a lock, so a thread that misses while another is computing
+    the same entry waits for it instead of computing its own."""
+    cached = functools.lru_cache(maxsize=1)(fn)
+    lock = threading.Lock()
+
+    def call(*args):
+        with lock:
+            return cached(*args)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return functools.wraps(fn)(call)
+
+
+@_cache_one
 def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     """Lower Cholesky factor of the fBm covariance at nodes 1..n_steps.
 
@@ -152,7 +141,7 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     return u.T
 
 
-@lru_cache(maxsize=32)
+@_cache_one
 def fbm_conditional_factors(
     hurst: float, grid: TimeGrid, t_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +172,11 @@ def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
     multiply (half the flops of a general matmul), returned C-contiguous.
 
     Computed as (factor @ xi.T).T, so a Fortran-ordered factor (every
-    factor of ``fbm_conditional_factors``) reaches BLAS without a copy and
-    the one copy of the normals is the buffer BLAS overwrites with the
-    result.
+    factor of ``fbm_conditional_factors``) reaches BLAS without a copy, and
+    a C-contiguous `xi` is overwritten with the product (any other is
+    copied first).
     """
-    return dtrmm(1.0, factor, xi.T, side=0, lower=1).T
+    return dtrmm(1.0, factor, xi.T, side=0, lower=1, overwrite_b=1).T
 
 
 def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:
@@ -198,22 +187,41 @@ def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:
     return Path(grid, values)
 
 
-def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray) -> np.ndarray:
+def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray,
+                 start: int = 0, cum0: float = 0.0) -> np.ndarray:
     """Build V(t) = v0 e^{-at} + sigma * int_0^t e^{-a(t-s)} dB^h(s).
 
     The stochastic integral is computed pathwise by integration by parts,
         int_0^t e^{-a(t-s)} dB^h = B^h(t) - a e^{-at} int_0^t e^{as} B^h(s) ds,
     with trapezoidal quadrature for the Riemann integral. Works along the
     last axis, so a batch of fBm paths gives a batch of fOU paths.
+
+    `fbm_values` may start at node `start`, given the quadrature sum `cum0`
+    there (`fou_quadrature`); each V is then the whole path's, bit for bit.
     """
-    t = np.asarray(grid.nodes)
-    b = np.asarray(fbm_values, dtype=float)
-    integrand = np.exp(spec.alpha * t) * b
-    cells = 0.5 * (integrand[..., 1:] + integrand[..., :-1]) * grid.dt
-    cum = np.zeros(integrand.shape)
-    np.cumsum(cells, axis=-1, out=cum[..., 1:])
-    stoch = b - spec.alpha * np.exp(-spec.alpha * t) * cum
-    return spec.v0 * np.exp(-spec.alpha * t) + spec.sigma * stoch
+    nodes = slice(start, start + np.shape(fbm_values)[-1])
+    decay = np.exp(-spec.alpha * np.asarray(grid.nodes))
+    v = fou_quadrature(grid, spec, fbm_values, start, cum0)
+    v *= (spec.alpha * decay)[nodes]
+    np.subtract(fbm_values, v, out=v)
+    v *= spec.sigma
+    v += (spec.v0 * decay)[nodes]
+    return v
+
+
+def fou_quadrature(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray,
+                   start: int = 0, cum0: float = 0.0) -> np.ndarray:
+    """Trapezoid sums of int_0^t e^{as} B^h(s) ds at the nodes of
+    `fbm_values` (last axis), from node `start` with the sum `cum0` there."""
+    growth = np.exp(spec.alpha * np.asarray(grid.nodes))
+    integrand = fbm_values * growth[start : start + fbm_values.shape[-1]]
+    cum = np.empty(integrand.shape)
+    cum[..., 0] = cum0
+    np.add(integrand[..., 1:], integrand[..., :-1], out=cum[..., 1:])
+    cum[..., 1:] *= 0.5
+    cum[..., 1:] *= grid.dt
+    np.cumsum(cum, axis=-1, out=cum)
+    return cum
 
 
 def bridge_steps(grid_tail: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -234,18 +242,17 @@ def bridge_steps(grid_tail: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bridge_paths(grid_tail: TimeGrid, start: float, terminal: float,
-                 xi: np.ndarray) -> np.ndarray:
-    """Brownian bridges from (t_start, start) to (t_end, terminal).
+                 z: np.ndarray) -> np.ndarray:
+    """Brownian bridges from (t_start, start) to (t_end, terminal), in place.
 
-    One path per row of the standard normals `xi` (shape (..., n_steps)),
-    by the exact per-step recursion of `bridge_steps`; the final node
-    equals `terminal` exactly.
+    One path per row of `z` (shape (..., n_nodes)), whose columns 1: hold
+    the standard normals of the exact per-step recursion of
+    `bridge_steps`: the normal of step i is read before node i + 1
+    overwrites it. Returns `z`; its final node equals `terminal` exactly.
     """
     w, s = bridge_steps(grid_tail)
-    z = np.empty(xi.shape[:-1] + (grid_tail.n_nodes,))
     z[..., 0] = start
     for i in range(grid_tail.n_steps):
-        z[..., i + 1] = z[..., i] + w[i] * (terminal - z[..., i]) + s[i] * xi[..., i]
+        z[..., i + 1] = z[..., i] + w[i] * (terminal - z[..., i]) + s[i] * z[..., i + 1]
     z[..., -1] = terminal
     return z
-

@@ -1,7 +1,7 @@
 """Discrete stochastic integration on grids.
 
-Left-point Ito sums, pathwise Riemann-Stieltjes integration for
-finite-variation integrands, and the quadratic-variation clock.
+Pathwise Riemann-Stieltjes integration for finite-variation integrands,
+and the quadratic-variation clock.
 """
 from __future__ import annotations
 
@@ -10,21 +10,10 @@ import numpy as np
 from .core import GridMismatch, Path, grids_equal
 
 
-def _require_shared_grid(a: Path, b: Path) -> None:
-    if not grids_equal(a.grid, b.grid):
-        raise GridMismatch("paths must share a grid")
-
-
-def ito_integral(k: Path, w: Path) -> Path:
-    """Left-point sum I(t_j) = sum_{i<j} k(t_i) (w(t_{i+1}) - w(t_i))."""
-    _require_shared_grid(k, w)
-    inc = k.values[:-1] * np.diff(w.values)
-    return Path(k.grid, np.concatenate(([0.0], np.cumsum(inc))))
-
-
 def rs_parts_form(k: Path, x: Path) -> Path:
     """J(t_j) = k_j x_j - k_0 x_0 - sum_{i<j} x_{i+1} (k_{i+1} - k_i)."""
-    _require_shared_grid(k, x)
+    if not grids_equal(k.grid, x.grid):
+        raise GridMismatch("paths must share a grid")
     tail = np.cumsum(x.values[1:] * np.diff(k.values))
     values = k.values * x.values - k.values[0] * x.values[0]
     values[1:] -= tail

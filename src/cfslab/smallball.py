@@ -21,7 +21,6 @@ from .core import (
     GridMismatch,
     Path,
     RngStream,
-    TimeGrid,
     grids_equal,
     make_estimate,
     make_grid,
@@ -266,20 +265,3 @@ def timechanged_smallball(
     query = SmallBallQuery(0, Path(grid_u, target_u), eps)
     return estimate_many(MixedFbm(), ctx0, [query], reps, rng, chunk_size)[0]
 
-
-def mc_tube_probability(
-    sample_path, grid: TimeGrid, f: Path, eps: float, reps: int, rng: RngStream
-) -> Estimate:
-    """Plain Monte Carlo tube estimate for an arbitrary path sampler.
-
-    `sample_path(grid, stream)` must return a Path; replication r uses
-    stream rng.child(r).
-    """
-    hits = 0
-    fv = f.values
-    for r in range(reps):
-        p = sample_path(grid, rng.child(r))
-        dev = float(np.max(np.abs(p.values - p.values[0] - fv)))
-        if dev < eps:
-            hits += 1
-    return make_estimate(hits, reps)

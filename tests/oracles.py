@@ -1,7 +1,70 @@
-"""Dense reference formulas that tests compare the library against."""
+"""Dense reference formulas that tests compare the library against, and
+the independent constructions the acceptance criteria check it with."""
 import math
 
 import numpy as np
+
+from cfslab.core import (
+    CfsError,
+    GridMismatch,
+    Path,
+    grids_equal,
+    make_estimate,
+)
+
+
+class NotPowerOfTwo(CfsError):
+    pass
+
+
+def gen_brownian_alt(grid, rng) -> Path:
+    """Brownian motion by midpoint (Levy) refinement.
+
+    Same law as `gaussian.gen_brownian` but an algorithmically distinct
+    construction: the terminal value is drawn first and interior nodes are
+    filled in by conditional bisection. n_steps must be a power of two.
+    """
+    n = grid.n_steps
+    if n & (n - 1) != 0:
+        raise NotPowerOfTwo(f"n_steps {n} is not a power of two")
+    g = rng.generator()
+    values = np.zeros(n + 1)
+    values[n] = np.sqrt(grid.span) * g.standard_normal()
+    step = n
+    while step > 1:
+        half = step // 2
+        left = np.arange(0, n, step)
+        mid = left + half
+        right = left + step
+        span = step * grid.dt
+        noise = g.standard_normal(left.size) * np.sqrt(span / 4.0)
+        values[mid] = 0.5 * (values[left] + values[right]) + noise
+        step = half
+    return Path(grid, values)
+
+
+def ito_integral(k: Path, w: Path) -> Path:
+    """Left-point sum I(t_j) = sum_{i<j} k(t_i) (w(t_{i+1}) - w(t_i))."""
+    if not grids_equal(k.grid, w.grid):
+        raise GridMismatch("paths must share a grid")
+    inc = k.values[:-1] * np.diff(w.values)
+    return Path(k.grid, np.concatenate(([0.0], np.cumsum(inc))))
+
+
+def mc_tube_probability(sample_path, grid, f: Path, eps: float, reps: int, rng):
+    """Plain Monte Carlo tube estimate for an arbitrary path sampler.
+
+    `sample_path(grid, stream)` must return a Path; replication r uses
+    stream rng.child(r).
+    """
+    hits = 0
+    fv = f.values
+    for r in range(reps):
+        p = sample_path(grid, rng.child(r))
+        dev = float(np.max(np.abs(p.values - p.values[0] - fv)))
+        if dev < eps:
+            hits += 1
+    return make_estimate(hits, reps)
 
 
 def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:

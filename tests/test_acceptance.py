@@ -7,7 +7,7 @@ minutes, not seconds.
 """
 import numpy as np
 import pytest
-from oracles import fbm_covariance
+from oracles import fbm_covariance, gen_brownian_alt, ito_integral, mc_tube_probability
 
 from cfslab.catalog import DEFAULT_BATTERY, affine_integrand, get_preset
 from cfslab.core import (
@@ -21,9 +21,8 @@ from cfslab.gaussian import (
     FbmSpec,
     _fbm_cholesky,
     gen_brownian,
-    gen_brownian_alt,
 )
-from cfslab.integrate import ito_integral, rs_parts_form
+from cfslab.integrate import rs_parts_form
 from cfslab.jumps import (
     BnsSpec,
     SubordinatorKind,
@@ -35,7 +34,6 @@ from cfslab.smallball import (
     SmallBallQuery,
     brownian_smallball_series,
     estimate_smallball,
-    mc_tube_probability,
     timechanged_smallball,
 )
 from cfslab.suite import BatteryTemplate, ReportFormat, render_report, run_battery

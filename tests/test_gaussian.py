@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fbm_covariance
+from oracles import NotPowerOfTwo, fbm_covariance, gen_brownian_alt
 from scipy.linalg import toeplitz
 
 from cfslab.core import (
     BadParams,
     CovarianceNotPD,
     HurstOutOfRange,
-    NotPowerOfTwo,
     RngStream,
     make_grid,
     tail_grid,
@@ -25,8 +24,8 @@ from cfslab.gaussian import (
     bridge_steps,
     fbm_conditional_factors,
     fou_from_fbm,
+    fou_quadrature,
     gen_brownian,
-    gen_brownian_alt,
     gen_fbm,
     lower_tri_matmul,
 )
@@ -143,7 +142,7 @@ class TestFbm:
         assert not np.any(np.triu(ell, 1))
         assert np.array_equal(ell, _fbm_cholesky(hurst, grid)[p:, p:])
         xi = RngStream(3, 0).generator().standard_normal((5, 256 - p))
-        assert np.allclose(lower_tri_matmul(xi, ell), xi @ ell.T,
+        assert np.allclose(lower_tri_matmul(xi.copy(), ell), xi @ ell.T,
                            rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n_steps", [256, 2048])
@@ -207,13 +206,20 @@ class TestFbmFactor:
         _, ell = fbm_conditional_factors(0.7, grid, t_index)
         assert ell.flags.f_contiguous
         m = 256 - t_index
-        # the normals arrive as a column block of a wider draw, as in
-        # models._fresh_normals
+        # a C-contiguous xi, as models._fresh_normals draws each further
+        # source, receives the product; a column block of a wider draw is
+        # copied and left as it was
         flat = RngStream(5, 0).generator().standard_normal((7, 2 * m))
-        xi = flat[:, m:]
+        xi = flat[:, m:].copy()
+        expected = xi @ ell.T
         out = lower_tri_matmul(xi, ell)
-        assert out.flags.c_contiguous
-        assert np.allclose(out, xi @ ell.T, rtol=0.0, atol=1e-12)
+        assert out.flags.c_contiguous and np.shares_memory(out, xi)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+        before = flat.copy()
+        out = lower_tri_matmul(flat[:, m:], ell)
+        assert out.flags.c_contiguous and not np.shares_memory(out, flat)
+        assert np.array_equal(flat, before)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
 def _fou(grid, spec, rng):
@@ -232,6 +238,19 @@ class TestFou:
         grid = make_grid(0.0, 1.0, 32)
         v = _fou(grid, FouSpec(0.6, 1.0, 0.5, v0=-0.3), RngStream(2, 0))
         assert v[0] == pytest.approx(-0.3)
+
+    @pytest.mark.parametrize("start", [0, 1, 100, 255])
+    def test_tail_seeded_with_history_sum_is_bitwise(self, start):
+        # rows sharing a history up to `start`: V from there on, seeded
+        # with the history's quadrature sum, is the whole path's V
+        grid = make_grid(0.0, 1.0, 256)
+        spec = FouSpec(hurst=0.7, alpha=1.0, sigma=0.5, v0=-1.6)
+        b = np.stack([gen_fbm(grid, FbmSpec(0.7), RngStream(12, 0).child(r)).values
+                      for r in range(3)])
+        b[:, : start + 1] = b[0, : start + 1]
+        cum0 = fou_quadrature(grid, spec, b[0, : start + 1])[-1]
+        tail = fou_from_fbm(grid, spec, b[:, start:], start, cum0)
+        assert np.array_equal(tail, fou_from_fbm(grid, spec, b)[:, start:])
 
     def test_mean_reversion_pulls_toward_zero(self):
         grid = make_grid(0.0, 4.0, 512)
@@ -255,16 +274,19 @@ class TestBridge:
         tail = tail_grid(grid, 4)
         history_grid = make_grid(0.0, tail.t_start, 4)
         history = gen_brownian(history_grid, RngStream(6, 1))
-        xi = RngStream(6, 0).generator().standard_normal(tail.n_steps)
-        p = bridge_paths(tail, float(history.values[-1]), 1.234, xi)
+        z = np.empty(tail.n_nodes)
+        RngStream(6, 0).generator().standard_normal(out=z[1:])
+        p = bridge_paths(tail, float(history.values[-1]), 1.234, z)
+        assert p is z
         assert p[0] == history.values[-1]
         assert p[-1] == 1.234  # bit-exact pin
 
     def test_midpoint_variance(self):
         tail = make_grid(0.0, 1.0, 16)
-        xi = np.stack([RngStream(4, 0).child(r).generator().standard_normal(16)
-                       for r in range(3000)])
-        mids = bridge_paths(tail, 0.0, 0.0, xi)[:, 8]
+        z = np.empty((3000, 17))
+        for r in range(3000):
+            RngStream(4, 0).child(r).generator().standard_normal(out=z[r, 1:])
+        mids = bridge_paths(tail, 0.0, 0.0, z)[:, 8]
         # bridge variance at t = 1/2 over [0,1] is 1/4
         assert np.var(mids) == pytest.approx(0.25, rel=0.15)
         assert abs(np.mean(mids)) < 4 * 0.5 / np.sqrt(3000)

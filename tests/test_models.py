@@ -1,6 +1,7 @@
 """Simulation, conditional continuation, and support validation."""
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cfslab.models import (
     Regime,
     SdePrice,
     WienerIntegral,
+    _fresh_normals,
     cell_noise_scale,
     continue_chunk,
     iter_continuations,
@@ -345,6 +347,58 @@ class TestNonfiniteParams:
     def test_rejected(self, field, bad):
         with pytest.raises(BadParams):
             NONFINITE_FIELD[field](bad)
+
+
+def _modes(name):
+    spec = get_preset(name)
+    if not hasattr(spec, "hk_mode"):
+        return [(name, None)]
+    return [(name, mode) for mode in HkMode]
+
+
+class TestChunkMemory:
+    """One chunk holds its output block, plus one (rows, m) array for the
+    continuations that redraw a second driver; no third array. Besides 5%
+    of a block, the bound allows the key pass's temporaries (under 128
+    bytes per row) and two operand buffers of numpy's ufunc machinery,
+    which it uses on the column slices of a block."""
+
+    GRID = make_grid(0.0, 1.0, 512)
+    ROWS = 512
+
+    @pytest.mark.parametrize("t_index", [0, 256])
+    @pytest.mark.parametrize("name, mode", [nm for n in preset_names()
+                                            for nm in _modes(n)])
+    def test_peak_blocks(self, name, mode, t_index):
+        spec = get_preset(name)
+        if mode is not None:
+            spec = dataclasses.replace(spec, hk_mode=mode)
+        _, ctx = simulate(spec, self.GRID, RngStream(31, 0), t_index)
+        tail = tail_grid(self.GRID, t_index)
+        streams = RngStream(31, 1).children(range(self.ROWS))
+        continue_chunk(spec, ctx, tail, streams)  # warm the factor caches
+        tracemalloc.start()
+        try:
+            block = continue_chunk(spec, ctx, tail, streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (self.ROWS, tail.n_nodes)
+        two_sources = mode is HkMode.REDRAW and not (
+            isinstance(spec, MixedFbm) and spec.fbm_weight == 0.0)
+        allowance = 128 * self.ROWS + 2 * np.getbufsize() * 8
+        assert peak <= (2.05 if two_sources else 1.05) * block.nbytes + allowance
+
+    def test_sources_continue_one_stream(self):
+        # drawing m and then m normals from a stream gives its 2m normals
+        streams = RngStream(32, 1).children(range(5))
+        block, xi = _fresh_normals(streams, 7, 2)
+        assert block.flags.c_contiguous and xi.flags.c_contiguous
+        assert not np.any(block[:, 0])
+        flat = np.array([streams[r].generator().standard_normal(14)
+                         for r in range(5)])
+        assert np.array_equal(block[:, 1:], flat[:, :7])
+        assert np.array_equal(xi, flat[:, 7:])
 
 
 class TestFamilies:

@@ -2,12 +2,15 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mc_tube_probability
 
+from cfslab import gaussian
 from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
     BadParams,
@@ -39,7 +42,6 @@ from cfslab.smallball import (
     detect_analytic_zero,
     estimate_many,
     estimate_smallball,
-    mc_tube_probability,
     timechanged_smallball,
 )
 
@@ -256,6 +258,23 @@ class TestThreadedChunks:
         assert detect_analytic_zero(spec, ctx, q) is not None
         with pytest.raises(BadParams, match="workers must be >= 1"):
             estimate_many(spec, ctx, [q], 100, RngStream(24, 1), workers=0)
+
+    def test_factor_cache_filled_once(self, two_cpus, monkeypatch):
+        # a slow miss, so that the second chunk's thread asks for the
+        # conditional factor while the first is building it
+        spec, ctx = _ctx("mixed_fbm_h075", t_index=128)
+        solve = gaussian.solve_triangular
+
+        def slow_solve(*args, **kwargs):
+            time.sleep(0.2)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "solve_triangular", slow_solve)
+        gaussian.fbm_conditional_factors.cache_clear()
+        q = SmallBallQuery(128, constant_path(tail_grid(GRID, 128), 0.0), 0.5)
+        estimate_many(spec, ctx, [q], 2048, RngStream(26, 1), workers=2)
+        info = gaussian.fbm_conditional_factors.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def _cumsum_rows(x):
