@@ -14,7 +14,7 @@ With BLAS pinned to one thread, runs at fixed seeds:
 - raw history and continuation bytes of every preset at restarts 0 and
   128 of 256 steps;
 - raw REDRAW continuations of `bns` and `regime` at 2100 replications
-  (three chunks of 1024), so per-row streams cross chunk boundaries;
+  (three blocks of 1024), so rows cross block boundaries;
 - `repr` of a `timechanged_smallball` estimate at 3000 replications;
 - the stdout of `cfslab models`;
 - `repr(validate_spec(spec))` for every preset;

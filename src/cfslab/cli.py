@@ -243,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (u64)")
         p.add_argument("--reps", type=int, help="Monte Carlo replications")
         p.add_argument("--workers", type=int, help=(
-            "threads for the replication chunks, at most the CPUs and the "
-            "chunks" if name == "smallball"
-            else "worker processes, at most the CPUs and the cells"))
+            "threads for the replication chunks, at most the usable CPUs "
+            "and the chunks" if name == "smallball"
+            else "worker processes, at most the usable CPUs and the cells"))
         p.add_argument("--out", help="output directory")
         if name == "battery":
             p.add_argument("--format", choices=["csv", "json", "plotdata"],

@@ -40,13 +40,6 @@ class SubordinatorSpec:
             if self.shape <= 0 or self.rate <= 0:
                 raise BadParams("need shape > 0 and rate > 0")
 
-    @property
-    def unit_mean(self) -> float:
-        """E L(1)."""
-        if self.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
-            return self.jump_rate * self.jump_mean
-        return self.shape / self.rate
-
 
 @dataclass(frozen=True)
 class BnsSpec:

@@ -10,22 +10,22 @@ mode allows; everything else is read from the frozen context.
 from __future__ import annotations
 
 import enum
-import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from . import gaussian, jumps
+from . import core, gaussian, jumps
 from .core import (
+    BLOCK,
     BadParams,
+    Block,
     FellerWarning,
     IncompatibleContext,
     Path,
     RngStream,
     TimeGrid,
-    generators,
     grids_equal,
     tail_grid,
 )
@@ -103,10 +103,6 @@ class ValidationReport:
     model: str
     checks: tuple[ValidationCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks)
-
 
 _VALIDATE_GRID = TimeGrid(0.0, 1.0, 256)
 _VALIDATE_PATHS = 100
@@ -120,21 +116,23 @@ _FOU_TILE_ROWS = 8
 # ---------------------------------------------------------------------------
 # helpers
 
-def _fresh_normals(streams: Sequence[RngStream], m: int, n_sources: int = 1,
+def _fresh_normals(gen: np.random.Generator, rows: int, m: int,
+                   n_sources: int = 1,
                    then: Callable | None = None) -> list[np.ndarray]:
-    """Per-replication draws: the chunk's (rows, m + 1) output block, column
-    0 zero and source 0's normals in columns 1:, which the continuation
+    """One block's draws: the chunk's (rows, m + 1) output array, column 0
+    zero and source 0's normals in columns 1:, which the continuation
     finishes and returns; then a C-contiguous (rows, m) array per further
     source and, if `then` is given, one more holding `then(gen)` per row.
-    Each replication draws from its own counter-based stream in this order,
-    so results do not depend on chunking or worker count."""
-    block = np.empty((len(streams), m + 1))
-    block[:, 0] = 0.0
+    Rows are drawn from the block's generator in order, each taking its
+    source-0 normals, its further sources and then `then(gen)`, so fewer
+    replications draw a prefix of the same rows."""
+    z = np.empty((rows, m + 1))
+    z[:, 0] = 0.0
     more = n_sources - 1 + (then is not None)
-    out = [block] + [np.empty((len(streams), m)) for _ in range(more)]
+    out = [z] + [np.empty((rows, m)) for _ in range(more)]
     others = out[1:n_sources]
-    for r, (gen, w) in enumerate(zip(generators(streams), block[:, 1:])):
-        gen.standard_normal(out=w)
+    for r in range(rows):
+        gen.standard_normal(out=z[r, 1:])
         for xi in others:
             gen.standard_normal(out=xi[r])
         if then is not None:
@@ -168,9 +166,9 @@ class ModelSpec:
     """A named process. Each subclass is one model family, declares only its
     own parameters and implements `history(grid, rng)`, the values at every
     node plus the drivers a continuation reads, and `continuation(ctx,
-    grid_tail, streams)`, one continuation per stream; the module-level
-    entry points dispatch to it. Price families report the log price,
-    started at log 1 = 0.
+    grid_tail, gen, rows)`, `rows` continuations drawn from the block
+    generator `gen`; the module-level entry points dispatch to it. Price
+    families report the log price, started at log 1 = 0.
     """
 
     tag: ClassVar[str]  # family name in contexts and in `cfslab models`
@@ -219,9 +217,9 @@ class MixedFbm(ModelSpec):
             fbm = np.zeros(grid.n_steps + 1)
         return self.fbm_weight * fbm + w, {"fbm": fbm}
 
-    def continuation(self, ctx, grid_tail, streams):
+    def continuation(self, ctx, grid_tail, gen, rows):
         redraw = self.hk_mode is HkMode.REDRAW and self.fbm_weight > 0
-        w_hat, *xi_f = _fresh_normals(streams, grid_tail.n_steps, 1 + redraw)
+        w_hat, *xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 1 + redraw)
         # W is scaled and summed in place; the leading zero stays zero
         w_hat *= np.sqrt(grid_tail.dt)
         np.cumsum(w_hat, axis=1, out=w_hat)
@@ -265,8 +263,8 @@ class WienerIntegral(ModelSpec):
         z[1:] *= self.k_fn(t)[:-1]
         return self.h_fn(t) + np.cumsum(z, out=z), {}
 
-    def continuation(self, ctx, grid_tail, streams):
-        (z,) = _fresh_normals(streams, grid_tail.n_steps)
+    def continuation(self, ctx, grid_tail, gen, rows):
+        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         tail_t = np.asarray(grid_tail.nodes)
         hvals = self.h_fn(tail_t)
         z[:, 1:] *= self.k_fn(tail_t)[:-1]
@@ -346,21 +344,22 @@ class _VolPrice(ModelSpec):
         frozen["g"] = g
         return self._log_price(0.0, g[:-1], z, 1.0, grid.dt, frozen, 0), frozen
 
-    def continuation(self, ctx, grid_tail, streams):
+    def continuation(self, ctx, grid_tail, gen, rows):
         if self.hk_mode is HkMode.REDRAW:
-            z, g = self._redraw(ctx, grid_tail, streams)
+            z, g = self._redraw(ctx, grid_tail, gen, rows)
         else:
-            (z,) = _fresh_normals(streams, grid_tail.n_steps)
+            (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
             g = ctx.frozen["g"][ctx.t_index : -1]
         dt = grid_tail.dt
         return self._log_price(ctx.z_t, g, z, np.sqrt(dt), dt, ctx.frozen,
                                ctx.t_index)
 
-    def _redraw(self, ctx, grid_tail, streams):
-        # Markov volatility redrawn per replication (event-driven), from
-        # the stream that drew that replication's W normals.
-        return _fresh_normals(streams, grid_tail.n_steps,
-                              then=lambda gen: self._markov_vol(ctx, grid_tail, gen))
+    def _redraw(self, ctx, grid_tail, gen, rows):
+        # Markov volatility redrawn per replication (event-driven), drawn
+        # right after that replication's W normals.
+        return _fresh_normals(
+            gen, rows, grid_tail.n_steps,
+            then=lambda g: self._markov_vol(ctx, grid_tail, g))
 
     def checks(self):
         bad = sum(bool(np.any(ctx.frozen["g"] <= 0.0))
@@ -409,21 +408,20 @@ class Heston(_VolPrice):
                 + c.xi * np.sqrt(vp) * db[i]
         return np.sqrt(np.clip(v, 0.0, None)), {"v": v, "db": db}
 
-    def continuation(self, ctx, grid_tail, streams):
+    def continuation(self, ctx, grid_tail, gen, rows):
         if self.hk_mode is HkMode.FIXED:
-            return super().continuation(ctx, grid_tail, streams)
+            return super().continuation(ctx, grid_tail, gen, rows)
         # REDRAW: v and the price advance together, one Euler step per
         # cell, whose W normal is read before its end node overwrites it
         m = grid_tail.n_steps
         dt = grid_tail.dt
-        lz, xi_b = _fresh_normals(streams, m, 2)
+        lz, xi_b = _fresh_normals(gen, rows, m, 2)
         c = self.cir
         root = self._root
-        n = len(streams)
-        v = np.full(n, float(ctx.frozen["v"][ctx.t_index]))
+        v = np.full(rows, float(ctx.frozen["v"][ctx.t_index]))
         lz[:, 0] = ctx.z_t
         sdt = np.sqrt(dt)
-        vp, g, dbi, step = np.empty((4, n))
+        vp, g, dbi, step = np.empty((4, rows))
         for i in range(m):
             np.clip(v, 0.0, None, out=vp)
             np.sqrt(vp, out=g)
@@ -471,15 +469,15 @@ class ComteRenault(_VolPrice):
         v = fou_from_fbm(grid, self.fou, fbm.values)
         return np.exp(v), {"v": v, "fbm": fbm.values}
 
-    def _redraw(self, ctx, grid_tail, streams):
+    def _redraw(self, ctx, grid_tail, gen, rows):
         # fOU from the restart node on, seeded with the history's quadrature
         # sum, in row tiles that overwrite the fBm they are built from
         i0 = ctx.t_index
-        z, xi_f = _fresh_normals(streams, grid_tail.n_steps, 2)
+        z, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
         fbm = ctx.frozen["fbm"]
         tails = _fbm_tails(self.fou.hurst, ctx, xi_f)
         cum0 = fou_quadrature(ctx.grid, self.fou, fbm[: i0 + 1])[-1]
-        for lo in range(0, len(streams), _FOU_TILE_ROWS):
+        for lo in range(0, rows, _FOU_TILE_ROWS):
             g = tails[lo : lo + _FOU_TILE_ROWS]
             b = np.concatenate((np.full((len(g), 1), fbm[i0]), g[:, :-1]), axis=1)
             np.exp(fou_from_fbm(ctx.grid, self.fou, b, i0, cum0), out=g)
@@ -521,8 +519,8 @@ class SdePrice(ModelSpec):
         w = gaussian.gen_brownian(grid, rng.child(0)).values
         return self._euler(grid, 0.0, np.diff(w, prepend=0.0)[None, :])[0], {}
 
-    def continuation(self, ctx, grid_tail, streams):
-        (lz,) = _fresh_normals(streams, grid_tail.n_steps)
+    def continuation(self, ctx, grid_tail, gen, rows):
+        (lz,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         lz *= np.sqrt(grid_tail.dt)
         return self._euler(grid_tail, ctx.z_t, lz)
 
@@ -571,9 +569,9 @@ class Doleans(ModelSpec):
         w = gaussian.gen_brownian(grid, rng.child(0)).values
         return np.exp(w - 0.5 * (t - t[0])), {}
 
-    def continuation(self, ctx, grid_tail, streams):
+    def continuation(self, ctx, grid_tail, gen, rows):
         tail_t = np.asarray(grid_tail.nodes)
-        (z,) = _fresh_normals(streams, grid_tail.n_steps)
+        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         z *= np.sqrt(grid_tail.dt)
         np.cumsum(z, axis=1, out=z)
         z -= 0.5 * (tail_t - tail_t[0])
@@ -613,8 +611,8 @@ class Bridge(ModelSpec):
         z[-1] = terminal
         return z, {"terminal": terminal}
 
-    def continuation(self, ctx, grid_tail, streams):
-        (z,) = _fresh_normals(streams, grid_tail.n_steps)
+    def continuation(self, ctx, grid_tail, gen, rows):
+        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         return bridge_paths(grid_tail, ctx.z_t, ctx.frozen["terminal"], z)
 
     def analytic_zero(self, ctx, target, eps):
@@ -682,34 +680,39 @@ def cell_noise_scale(
     return spec.noise_scale(ctx, grid_tail)
 
 
+def _blocks(rng: RngStream, reps: int) -> list[tuple[int, Block]]:
+    """(start index, block) for the stream blocks of replications 0..reps-1."""
+    return [(start, Block(rng.child(start // BLOCK), min(BLOCK, reps - start)))
+            for start in range(0, reps, BLOCK)]
+
+
 def iter_continuations(
     spec: ModelSpec,
     ctx: ConditioningContext,
     grid_tail: TimeGrid,
     rng: RngStream,
     reps: int,
-    chunk_size: int = 1024,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, block) chunks of per-replication continuations.
+    """Yield (start_index, paths) chunks of conditional continuations, one
+    chunk per stream block.
 
-    Replication r always uses stream rng.child(r), so the output is
-    independent of how chunks are distributed over workers, and byte
-    identical for a fixed chunk size. Across different chunk sizes the
-    noise is identical but vectorized linear algebra may round in a
-    different order, so agreement is to machine precision, not bytes.
+    Replication r is row r mod BLOCK of block r // BLOCK, which draws from
+    rng.child(r // BLOCK), so the output does not depend on how chunks
+    are distributed over workers, and any `reps` gives a prefix of the
+    same rows. A shorter last block may round differently in the fBm
+    families' dense multiply, so that prefix agrees to machine precision
+    there and byte for byte elsewhere.
     """
-    for start in range(0, reps, chunk_size):
-        stop = min(start + chunk_size, reps)
-        yield start, continue_chunk(
-            spec, ctx, grid_tail, rng.children(range(start, stop)))
+    for start, block in _blocks(rng, reps):
+        yield start, continue_chunk(spec, ctx, grid_tail, block)
 
 
-def chunk_threads(workers: int, reps: int, chunk_size: int = 1024) -> int:
-    """Threads `map_continuations` runs: the request capped at the CPU
-    count and the number of chunks."""
+def chunk_threads(workers: int, reps: int) -> int:
+    """Threads `map_continuations` runs: the request capped at the usable
+    CPUs and the number of chunks."""
     if workers < 1:
         raise BadParams(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1, -(-reps // chunk_size))
+    return min(workers, core.usable_cpus(), -(-reps // BLOCK))
 
 
 def map_continuations(
@@ -719,44 +722,44 @@ def map_continuations(
     grid_tail: TimeGrid,
     rng: RngStream,
     reps: int,
-    chunk_size: int = 1024,
     workers: int = 1,
 ) -> list:
-    """`[fn(start, block)]` over the chunks of `iter_continuations`, in
+    """`[fn(start, paths)]` over the chunks of `iter_continuations`, in
     chunk order, with the chunks run on up to `workers` threads.
 
-    Every replication has its own stream, so each chunk's result is the
-    same whichever thread computes it. The threads overlap because
-    numpy's random fills and array passes release the GIL; `fn` must only
-    read shared state. The thread count is the request capped at the CPU
-    count and the number of chunks (`chunk_threads`). An exception raised
+    Every block has its own stream, so each chunk's result is the same
+    whichever thread computes it. The threads overlap because numpy's
+    random fills and array passes release the GIL; `fn` must only read
+    shared state. The thread count is the request capped at the usable
+    CPUs and the number of chunks (`chunk_threads`). An exception raised
     in any chunk is re-raised here, and the chunks not yet started are
     cancelled.
     """
-    n_threads = chunk_threads(workers, reps, chunk_size)
-    starts = range(0, reps, chunk_size)
+    n_threads = chunk_threads(workers, reps)
+    blocks = _blocks(rng, reps)
 
-    def run(start: int):
-        streams = rng.children(range(start, min(start + chunk_size, reps)))
-        return fn(start, continue_chunk(spec, ctx, grid_tail, streams))
+    def run(item: tuple[int, Block]):
+        start, block = item
+        return fn(start, continue_chunk(spec, ctx, grid_tail, block))
 
     if n_threads <= 1:
-        return list(map(run, starts))
+        return list(map(run, blocks))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(n_threads) as pool:
-        return list(pool.map(run, starts))
+        return list(pool.map(run, blocks))
 
 
 def continue_chunk(
     spec: ModelSpec,
     ctx: ConditioningContext,
     grid_tail: TimeGrid,
-    streams: Sequence[RngStream],
+    block: Block,
 ) -> np.ndarray:
-    """Continuations for a batch of replication streams; one row each."""
+    """Continuations for the replications of one stream block; one row each."""
     check_context(spec, ctx, grid_tail)
-    return spec.continuation(ctx, grid_tail, streams)
+    gen = block.stream.generator()
+    return spec.continuation(ctx, grid_tail, gen, len(block))
 
 
 def validate_spec(spec: ModelSpec) -> ValidationReport:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK,
     BadParams,
     BadQuery,
     Classification,
@@ -24,7 +25,6 @@ from .core import (
     grids_equal,
     make_estimate,
     make_grid,
-    philox_uniforms,
 )
 from .integrate import qv_clock
 from .models import (  # the REASON_ constants are re-exported
@@ -70,14 +70,6 @@ def _bridge_survival(d: np.ndarray, eps: float, s2: np.ndarray) -> np.ndarray:
     return surv
 
 
-def _thinning_uniforms(rng: RngStream, start: int, n_rows: int,
-                       n_groups: int) -> np.ndarray:
-    """One uniform per target group for replications start, ..., start +
-    n_rows - 1, replication r from the stream rng.child(r).child(_THIN_STREAM)."""
-    streams = rng.children(range(start, start + n_rows), (_THIN_STREAM,))
-    return philox_uniforms(streams.keys(), n_groups)
-
-
 @dataclass(frozen=True)
 class SmallBallQuery:
     """Tube query: target on the tail grid with target(t_under) = 0."""
@@ -112,13 +104,12 @@ def estimate_many(
     queries: list[SmallBallQuery],
     reps: int,
     rng: RngStream,
-    chunk_size: int = 1024,
     workers: int = 1,
 ) -> list[Estimate]:
     """Estimate several tube queries on shared conditional continuations.
 
-    All queries are evaluated on the same replication paths (one stream
-    per replication index), so estimates are coherent across queries:
+    All queries are evaluated on the same replication paths (see
+    `iter_continuations`), so estimates are coherent across queries:
     shrinking eps can only shrink the hit set, and shifting the target is
     identical to shifting the paths. Chunks of replications run on up to
     `workers` threads (see `map_continuations`); each returns its hit
@@ -129,7 +120,8 @@ def estimate_many(
     known scale, node hits are thinned by the bridge exit probability, so
     the estimator targets the continuous-time sup rather than the grid
     maximum. Queries sharing a target share the thinning uniform, which
-    preserves monotonicity of the hit set in eps.
+    preserves monotonicity of the hit set in eps. The uniforms of block b
+    are rng.child(b).child(101).generator().random((rows, groups)).
     """
     if reps < 1:
         raise BadParams("reps must be >= 1")
@@ -181,7 +173,8 @@ def estimate_many(
                 for row, gi in enumerate(group_of):
                     chunk_hits[row] = np.count_nonzero(dev[gi] < eps[row])
                 return chunk_hits
-            u = _thinning_uniforms(rng, start, rel.shape[0], len(groups))
+            thin = rng.child(start // BLOCK).child(_THIN_STREAM)
+            u = thin.generator().random((rel.shape[0], len(groups)))
             for row, gi in enumerate(group_of):
                 e = float(eps[row])
                 inside = np.nonzero(dev[gi] < e)[0]
@@ -194,7 +187,7 @@ def estimate_many(
             return chunk_hits
 
         hits[live] = sum(map_continuations(
-            count, spec, ctx, grid_tail, rng, reps, chunk_size, workers))
+            count, spec, ctx, grid_tail, rng, reps, workers))
     return [
         make_estimate(int(hits[i]), reps, analytic_zero_reason=reasons[i])
         for i in range(len(queries))
@@ -240,7 +233,6 @@ def brownian_smallball_series(k_total: float, eps: float) -> float:
 
 def timechanged_smallball(
     k: Path, f: Path, eps: float, reps: int, rng: RngStream,
-    chunk_size: int = 1024,
 ) -> Estimate:
     """Tube probability of int k dW via the quadratic-variation clock.
 
@@ -263,5 +255,5 @@ def timechanged_smallball(
     target_u = np.interp(np.asarray(grid_u.nodes), g, f.values)
     ctx0 = ConditioningContext(MixedFbm.tag, grid_u, 0, np.zeros(1), {})
     query = SmallBallQuery(0, Path(grid_u, target_u), eps)
-    return estimate_many(MixedFbm(), ctx0, [query], reps, rng, chunk_size)[0]
+    return estimate_many(MixedFbm(), ctx0, [query], reps, rng)[0]
 

@@ -11,12 +11,12 @@ import enum
 import io
 import json
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     BadParams,
     Classification,
@@ -136,7 +136,7 @@ class BatteryReport:
     template: BatteryTemplate
     wall_clock: float
     total_reps: int
-    workers_used: int  # processes run: the request capped at CPUs and cells
+    workers_used: int  # processes run: request capped at usable CPUs, cells
 
 
 CSV_HEADER = ("model,t_frac,style,amplitude,epsilon,reps,hits,"
@@ -233,7 +233,7 @@ def run_battery(
     n_cells = len(_CELLS)
     # Cells are CPU bound, so processes beyond the CPUs or the cells only
     # add contention; without fork, the cells run in this process.
-    n_procs = (min(workers, os.cpu_count() or 1, n_cells)
+    n_procs = (min(workers, core.usable_cpus(), n_cells)
                if "fork" in multiprocessing.get_all_start_methods() else 1)
     try:
         if n_procs > 1:

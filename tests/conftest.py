@@ -1,13 +1,14 @@
 """Fixtures shared by the test modules."""
-import os
-
 import pytest
+
+from cfslab import core
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs whatever the host has, so that workers=2 starts the pool."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Two usable CPUs whatever the host has, so that workers=2 starts the
+    pool."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
 
 
 @pytest.fixture
@@ -19,10 +20,10 @@ def fail_chunk(monkeypatch):
     real = models.continue_chunk
 
     def install(start):
-        def fail(spec, ctx, grid_tail, streams):
-            if streams.indices.start == start:
+        def fail(spec, ctx, grid_tail, block):
+            if block.stream.path[-1] * core.BLOCK == start:
                 raise FloatingPointError(f"chunk at {start} overflowed")
-            return real(spec, ctx, grid_tail, streams)
+            return real(spec, ctx, grid_tail, block)
 
         monkeypatch.setattr(models, "continue_chunk", fail)
 

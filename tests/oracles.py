@@ -11,6 +11,7 @@ from cfslab.core import (
     grids_equal,
     make_estimate,
 )
+from cfslab.jumps import SubordinatorKind
 
 
 class NotPowerOfTwo(CfsError):
@@ -108,3 +109,15 @@ def cir_variance(v0: float, kappa: float, theta: float, xi: float, dt: float,
         vp = max(v[i], 0.0)
         v[i + 1] = v[i] + kappa * (theta - vp) * dt + xi * math.sqrt(vp) * d
     return v
+
+
+def report_passed(report) -> bool:
+    """A `ValidationReport` passes when none of its checks FAILs."""
+    return all(c.status != "FAIL" for c in report.checks)
+
+
+def unit_mean(sub) -> float:
+    """E L(1) of the subordinator `sub`."""
+    if sub.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
+        return sub.jump_rate * sub.jump_mean
+    return sub.shape / sub.rate

@@ -7,7 +7,13 @@ minutes, not seconds.
 """
 import numpy as np
 import pytest
-from oracles import fbm_covariance, gen_brownian_alt, ito_integral, mc_tube_probability
+from oracles import (
+    fbm_covariance,
+    gen_brownian_alt,
+    ito_integral,
+    mc_tube_probability,
+    unit_mean,
+)
 
 from cfslab.catalog import DEFAULT_BATTERY, affine_integrand, get_preset
 from cfslab.core import (
@@ -245,11 +251,11 @@ def test_criterion_7_bns_bounds():
         finals[r] = v[-1]
     mean = float(np.mean(finals))
     se = float(np.std(finals)) / np.sqrt(REPS)
-    mean_ok = abs(mean - sub.unit_mean) <= 4 * se
+    mean_ok = abs(mean - unit_mean(sub)) <= 4 * se
     ok = floor_ok and mean_ok
     _report(7, ok,
             f"exact floor on {REPS} paths: {floor_ok}; "
-            f"stationary mean {mean:.5f} vs {sub.unit_mean:.5f} "
+            f"stationary mean {mean:.5f} vs {unit_mean(sub):.5f} "
             f"(4 SE = {4 * se:.5f})")
 
 

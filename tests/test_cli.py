@@ -5,6 +5,7 @@ import os
 import pytest
 
 from cfslab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from cfslab.core import usable_cpus
 from cfslab.models import FAMILIES
 
 
@@ -231,7 +232,7 @@ class TestBatteryCommand:
             ["battery", "--config", cfg, "--seed", "9", "--reps", "1000",
              "--workers", "3", "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
-        used = min(3, os.cpu_count() or 1)
+        used = min(3, usable_cpus())
         assert f"on {used} worker(s), 3 requested" in out
 
     def test_plotdata_format_adds_file(self, tmp_path, capsys):

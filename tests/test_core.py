@@ -1,4 +1,4 @@
-"""Grids, paths, counter-based streams, and binomial estimates."""
+"""Grids, paths, seeded streams, and binomial estimates."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +13,12 @@ from cfslab.core import (
     RngStream,
     ZeroReps,
     ZeroSteps,
-    generators,
     grids_equal,
     make_estimate,
     make_grid,
-    philox_uniforms,
     tail_grid,
     wilson_interval,
 )
-from cfslab.jumps import CtmcSpec, ctmc_states
 
 
 class TestTimeGrid:
@@ -92,105 +89,36 @@ class TestRngStream:
 
 
 class TestChildStreams:
-    """The vectorised keys and re-keyed generators of `children` against
-    numpy's SeedSequence and `RngStream.generator`, the reference path."""
+    """Child streams are keyed by numpy's SeedSequence: the stream
+    `RngStream(seed, stream_id, path).child(r).child(s)` draws from SFC64
+    seeded with SeedSequence(seed, spawn_key=(stream_id, *path, r, s))."""
 
     SEEDS = (0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1)
     PATHS = ((), (3,), (1, 2))  # empty, one-level, nested parent paths
-    INDICES = np.array([0, 1, 1023, 2**31, 2**32 - 1], dtype=np.uint64)
-    CTMC = CtmcSpec(generator=((-20.0, 20.0), (30.0, -30.0)),
-                    vol_levels=(0.1, 0.4))
+    INDICES = (0, 1, 1023, 2**31, 2**32 - 1)
 
     @pytest.mark.parametrize("suffix", [(), (101,)], ids=["plain", "thinning"])
     @pytest.mark.parametrize("path", PATHS, ids=["empty", "one", "nested"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed, path, suffix):
-        keys = RngStream(seed, 5, path).children(self.INDICES, suffix).keys()
-        assert keys.shape == (len(self.INDICES), 2)
-        for key, r in zip(keys, self.INDICES.tolist()):
-            ref = np.random.SeedSequence(
-                seed, spawn_key=(5, *path, r, *suffix)).generate_state(2, np.uint64)
-            assert np.array_equal(key, ref)
-
-    @pytest.mark.parametrize("suffix", [(), (101,)], ids=["plain", "thinning"])
-    @pytest.mark.parametrize("path", PATHS, ids=["empty", "one", "nested"])
-    @pytest.mark.parametrize("seed", [7, 2**32 + 5])
-    def test_generators_match_reference(self, seed, path, suffix):
-        parent = RngStream(seed, 0, path)
-        grid = make_grid(0.0, 1.0, 64)
-        streams = parent.children(self.INDICES, suffix)
-        gens = zip(self.INDICES.tolist(), streams.generators())
-        for i, (r, gen) in enumerate(gens):
-            ref = parent.child(r)
+        parent = RngStream(seed, 5, path)
+        for r in self.INDICES:
+            stream = parent.child(r)
             for k in suffix:
-                ref = ref.child(k)
-            assert streams[i] == ref
-            ref_gen = ref.generator()
-            assert np.array_equal(gen.standard_normal(9),
-                                  ref_gen.standard_normal(9))
-            assert np.array_equal(gen.uniform(size=3), ref_gen.uniform(size=3))
-            assert np.array_equal(ctmc_states(grid, self.CTMC, 0, gen),
-                                  ctmc_states(grid, self.CTMC, 0, ref_gen))
+                stream = stream.child(k)
+            seq = np.random.SeedSequence(seed, spawn_key=(5, *path, r, *suffix))
+            ref = np.random.Generator(np.random.SFC64(seq))
+            gen = stream.generator()
+            assert isinstance(gen.bit_generator, np.random.SFC64)
+            assert gen.random(4).tobytes() == ref.random(4).tobytes()
 
-    def test_range_matches_list(self):
-        parent = RngStream(11, 2, (1,))
-        fast = [g.standard_normal(4) for g in generators(parent.children(range(5, 9)))]
-        slow = [g.standard_normal(4)
-                for g in generators([parent.child(r) for r in range(5, 9)])]
-        assert np.array_equal(fast, slow)
-
-    def test_empty(self):
-        streams = RngStream(1).children(range(3, 3))
-        assert len(streams) == 0
-        assert streams.keys().shape == (0, 2)
-        assert list(streams.generators()) == []
-
-    @pytest.mark.parametrize("indices", [[0, 2**32], [2**40 + 3, 5]])
-    def test_index_of_two_words_raises(self, indices):
-        # such an index would need a hash pass of its own length
-        streams = RngStream(7).children(np.array(indices, dtype=np.uint64))
-        with pytest.raises(ValueError, match="below 2\\^32"):
-            streams.keys()
-        with pytest.raises(ValueError):
-            next(streams.generators())
-
-    def test_generators_go_through_stream_generator(self, monkeypatch):
-        # one `RngStream.generator` call per row, each with its row's key
-        calls = []
-        keyed = RngStream.generator
-
-        def spy(stream, *args, **kwargs):
-            calls.append((stream, args[0].copy()))
-            return keyed(stream, *args, **kwargs)
-
-        monkeypatch.setattr(RngStream, "generator", spy)
-        streams = RngStream(3, 1).children(range(4, 7), (101,))
-        for _ in streams.generators():
-            pass
-        assert [c[0] for c in calls] == list(streams)
-        assert np.array_equal([c[1] for c in calls], streams.keys())
-
-    @pytest.mark.parametrize("n", [1, 4, 5, 10])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_philox_uniforms_match_generator_random(self, seed, n):
-        # block b of four words comes from counter (b + 1, 0, 0, 0)
-        streams = RngStream(seed, 5, (1, 2)).children(self.INDICES, (101,))
-        u = philox_uniforms(streams.keys(), n)
-        ref = np.stack([s.generator().random(n) for s in streams])
-        assert u.dtype == np.float64 and u.shape == (len(self.INDICES), n)
-        assert u.tobytes() == ref.tobytes()
-
-    def test_philox_uniforms_empty(self):
-        keys = RngStream(1).children(range(3, 3)).keys()
-        assert philox_uniforms(keys, 2).shape == (0, 2)
-
-    @pytest.mark.parametrize("seed, indices", [(-1, range(2)), (1, range(-1, 2))],
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (1, -1)],
                              ids=["seed", "index"])
-    def test_negative_raises_like_seed_sequence(self, seed, indices):
+    def test_negative_raises_like_seed_sequence(self, seed, index):
         with pytest.raises(Exception) as ref:
             np.random.SeedSequence(-1, spawn_key=(0, 0))
         with pytest.raises(ref.type):
-            RngStream(seed).children(indices).keys()
+            RngStream(seed).child(index).generator()
 
 
 class TestWilson:

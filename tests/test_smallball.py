@@ -1,5 +1,4 @@
 """Conditional tube-probability estimation and its oracles."""
-import os
 import sys
 import threading
 import time
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import mc_tube_probability
 
-from cfslab import gaussian
+from cfslab import core, gaussian
 from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
     BadParams,
@@ -31,6 +30,7 @@ from cfslab.models import (
     WienerIntegral,
     cell_noise_scale,
     chunk_threads,
+    iter_continuations,
     simulate,
 )
 from cfslab.smallball import (
@@ -46,6 +46,7 @@ from cfslab.smallball import (
 )
 
 GRID = make_grid(0.0, 1.0, 256)
+COARSE_STEPS = 16  # steps of the grids that count many blocks
 
 
 def _ctx(name, t_index=0, seed=1):
@@ -179,11 +180,44 @@ class TestEstimator:
         assert e0.hits == e1.hits
 
     def test_chunk_size_invariance(self):
-        spec, ctx = _ctx("brownian")
-        q = SmallBallQuery(0, constant_path(GRID, 0.0), 0.7)
-        a = estimate_many(spec, ctx, [q], 1500, RngStream(7, 1), chunk_size=4096)[0]
-        b = estimate_many(spec, ctx, [q], 1500, RngStream(7, 1), chunk_size=61)[0]
-        assert a.hits == b.hits
+        # counting block by block, tile by tile, equals one count over all
+        # the rows; node-monitored, on a coarse grid
+        grid = make_grid(0.0, 1.0, COARSE_STEPS)
+        spec = get_preset("heston")
+        _, ctx = simulate(spec, grid, RngStream(7, 0), 0)
+        assert cell_noise_scale(spec, ctx, grid) is None
+        qs = [SmallBallQuery(0, constant_path(grid, 0.0), e) for e in (0.1, 0.2)]
+        ests = estimate_many(spec, ctx, qs, 1500, RngStream(7, 1))
+        paths = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, grid, RngStream(7, 1), 1500)])
+        dev = np.max(np.abs(paths - paths[:, :1]), axis=1)
+        assert [e.hits for e in ests] == [np.count_nonzero(dev < q.eps) for q in qs]
+        assert 0 < ests[0].hits < ests[1].hits < 1500
+
+    def test_thinning_uniforms_of_each_block(self):
+        # block b thins with rng.child(b).child(101).generator().random(
+        # (rows, groups)), one column per distinct target
+        grid = make_grid(0.0, 1.0, COARSE_STEPS)
+        spec = get_preset("brownian")
+        _, ctx = simulate(spec, grid, RngStream(27, 0), 0)
+        s2 = cell_noise_scale(spec, ctx, grid) ** 2
+        t = np.asarray(grid.nodes)
+        targets = [0.0 * t, 0.3 * t]
+        qs = [SmallBallQuery(0, Path(grid, f), 0.8) for f in targets]
+        rng = RngStream(27, 1)
+        ests = estimate_many(spec, ctx, qs, 1500, rng)
+        hits = np.zeros(len(qs), dtype=int)
+        for start, paths in iter_continuations(spec, ctx, grid, rng, 1500):
+            u = rng.child(start // core.BLOCK).child(101).generator().random(
+                (len(paths), len(targets)))
+            rel = paths - paths[:, :1]
+            for gi, f in enumerate(targets):
+                d = rel - f
+                inside = np.max(np.abs(d), axis=1) < 0.8
+                surv = _survival_reference(d[inside], 0.8, s2)
+                hits[gi] += np.count_nonzero(u[inside, gi] < surv)
+        assert [e.hits for e in ests] == hits.tolist()
+        assert np.all(hits > 0)
 
     def test_huge_eps_hits_everything(self):
         spec, ctx = _ctx("brownian")
@@ -206,7 +240,7 @@ class TestThreadedChunks:
         return one
 
     def test_debiased_brownian_six_targets(self):
-        # six distinct targets: each row's thinning draw spans two blocks
+        # six distinct targets: six thinning uniforms per row
         spec, ctx = _ctx("brownian")
         assert cell_noise_scale(spec, ctx, GRID) is not None
         t = np.asarray(GRID.nodes)
@@ -227,18 +261,23 @@ class TestThreadedChunks:
 
     def test_many_threads_with_short_switch_interval(self, monkeypatch):
         # more threads than CPUs, switching as often as the interpreter
-        # allows: a row or buffer shared between chunks would change hits
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        spec, ctx = _ctx("brownian")
-        t = np.asarray(GRID.nodes)
-        qs = [SmallBallQuery(0, Path(GRID, a * t), 0.8) for a in (-0.2, 0.0, 0.3)]
-        one = estimate_many(spec, ctx, qs, 2100, RngStream(25, 1), chunk_size=64)
+        # allows: a row or buffer shared between chunks would change hits;
+        # nine blocks on eight threads, on a coarse grid
+        monkeypatch.setattr(core, "usable_cpus", lambda: 8)
+        grid = make_grid(0.0, 1.0, COARSE_STEPS)
+        spec = get_preset("brownian")
+        _, ctx = simulate(spec, grid, RngStream(25, 0), 0)
+        t = np.asarray(grid.nodes)
+        qs = [SmallBallQuery(0, Path(grid, a * t), 0.8) for a in (-0.2, 0.0, 0.3)]
+        reps = 8 * core.BLOCK + 100
+        assert chunk_threads(8, reps) == 8
+        one = estimate_many(spec, ctx, qs, reps, RngStream(25, 1))
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            eight = estimate_many(spec, ctx, qs, 2100, RngStream(25, 1),
-                                  chunk_size=64, workers=8)
+            eight = estimate_many(spec, ctx, qs, reps, RngStream(25, 1),
+                                  workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert one == eight

@@ -1,6 +1,7 @@
 """Target families, battery runs, and report rendering."""
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 
 from cfslab import catalog
 from cfslab.catalog import get_preset
-from cfslab.cli import EXIT_NUMERICAL, main
+from cfslab.cli import EXIT_NUMERICAL, EXIT_OK, main
 from cfslab.core import (
     BadParams,
     Classification,
     CovarianceNotPD,
     EmptyBattery,
     make_grid,
+    usable_cpus,
 )
-from cfslab.models import ModelSpec, WienerIntegral
+from cfslab.models import ModelSpec, WienerIntegral, chunk_threads
 from cfslab.suite import (
     CSV_HEADER,
     BatteryTemplate,
@@ -163,6 +165,37 @@ class TestProcessPool:
 def report():
     return run_battery([get_preset("brownian"), get_preset("doleans")],
                        SMALL, 1000, 4)
+
+
+class TestCpuAffinity:
+    """Threads and processes are capped at the CPUs this process may run
+    on, not at the host's CPU count."""
+
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        # an affinity mask of one CPU on an eight-CPU host, as under
+        # `taskset -c 0`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_one_cpu_runs_one_thread_and_one_process(self, one_cpu, tmp_path,
+                                                      capsys):
+        assert usable_cpus() == 1
+        assert chunk_threads(2, 2100) == 1
+        models = [get_preset("brownian"), get_preset("doleans")]
+        assert run_battery(models, SMALL, 1000, 3, workers=2).workers_used == 1
+        code = main(["smallball", "--seed", "3", "--reps", "3000",
+                     "--workers", "2", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "on 1 thread(s), 2 requested" in capsys.readouterr().out
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestRender:
