@@ -198,6 +198,12 @@ class Block:
         return self.rows
 
 
+def blocks(rng: RngStream, reps: int) -> list[tuple[int, Block]]:
+    """(start index, block) for the stream blocks of replications 0..reps-1."""
+    return [(start, Block(rng.child(start // BLOCK), min(BLOCK, reps - start)))
+            for start in range(0, reps, BLOCK)]
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the host's CPU count."""

@@ -26,6 +26,7 @@ from .core import (
     Path,
     RngStream,
     TimeGrid,
+    blocks,
     grids_equal,
     tail_grid,
 )
@@ -680,12 +681,6 @@ def cell_noise_scale(
     return spec.noise_scale(ctx, grid_tail)
 
 
-def _blocks(rng: RngStream, reps: int) -> list[tuple[int, Block]]:
-    """(start index, block) for the stream blocks of replications 0..reps-1."""
-    return [(start, Block(rng.child(start // BLOCK), min(BLOCK, reps - start)))
-            for start in range(0, reps, BLOCK)]
-
-
 def iter_continuations(
     spec: ModelSpec,
     ctx: ConditioningContext,
@@ -703,7 +698,7 @@ def iter_continuations(
     families' dense multiply, so that prefix agrees to machine precision
     there and byte for byte elsewhere.
     """
-    for start, block in _blocks(rng, reps):
+    for start, block in blocks(rng, reps):
         yield start, continue_chunk(spec, ctx, grid_tail, block)
 
 
@@ -736,18 +731,18 @@ def map_continuations(
     cancelled.
     """
     n_threads = chunk_threads(workers, reps)
-    blocks = _blocks(rng, reps)
+    todo = blocks(rng, reps)
 
     def run(item: tuple[int, Block]):
         start, block = item
         return fn(start, continue_chunk(spec, ctx, grid_tail, block))
 
     if n_threads <= 1:
-        return list(map(run, blocks))
+        return list(map(run, todo))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(n_threads) as pool:
-        return list(pool.map(run, blocks))
+        return list(pool.map(run, todo))
 
 
 def continue_chunk(

@@ -42,6 +42,14 @@ _THIN_STREAM = 101  # child index for excursion-thinning uniforms
 _TILE_ROWS = 32  # rows per deviation tile
 
 
+def thinning_uniforms(rng: RngStream, block: int, rows: int,
+                      groups: int) -> np.ndarray:
+    """The (rows, groups) excursion-thinning uniforms of stream block
+    `block`, drawn row by row from rng.child(block).child(101)."""
+    thin = rng.child(block).child(_THIN_STREAM)
+    return thin.generator().random((rows, groups))
+
+
 def _bridge_survival(d: np.ndarray, eps: float, s2: np.ndarray) -> np.ndarray:
     """P[no within-cell excursion beyond the tube | node values].
 
@@ -173,8 +181,7 @@ def estimate_many(
                 for row, gi in enumerate(group_of):
                     chunk_hits[row] = np.count_nonzero(dev[gi] < eps[row])
                 return chunk_hits
-            thin = rng.child(start // BLOCK).child(_THIN_STREAM)
-            u = thin.generator().random((rel.shape[0], len(groups)))
+            u = thinning_uniforms(rng, start // BLOCK, rel.shape[0], len(groups))
             for row, gi in enumerate(group_of):
                 e = float(eps[row])
                 inside = np.nonzero(dev[gi] < e)[0]

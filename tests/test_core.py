@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfslab.catalog import get_preset
 from cfslab.core import (
+    BLOCK,
     BadParams,
+    Block,
     Classification,
     GridMismatch,
     NonPositiveSpan,
@@ -13,12 +16,17 @@ from cfslab.core import (
     RngStream,
     ZeroReps,
     ZeroSteps,
+    blocks,
+    constant_path,
     grids_equal,
     make_estimate,
     make_grid,
     tail_grid,
     wilson_interval,
 )
+from cfslab.jumps import CtmcSpec, ctmc_states
+from cfslab.models import iter_continuations, simulate
+from cfslab.smallball import SmallBallQuery, estimate_many, thinning_uniforms
 
 
 class TestTimeGrid:
@@ -96,6 +104,8 @@ class TestChildStreams:
     SEEDS = (0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1)
     PATHS = ((), (3,), (1, 2))  # empty, one-level, nested parent paths
     INDICES = (0, 1, 1023, 2**31, 2**32 - 1)
+    CTMC = CtmcSpec(generator=((-20.0, 20.0), (30.0, -30.0)),
+                    vol_levels=(0.1, 0.4))
 
     @pytest.mark.parametrize("suffix", [(), (101,)], ids=["plain", "thinning"])
     @pytest.mark.parametrize("path", PATHS, ids=["empty", "one", "nested"])
@@ -119,6 +129,85 @@ class TestChildStreams:
             np.random.SeedSequence(-1, spawn_key=(0, 0))
         with pytest.raises(ref.type):
             RngStream(seed).child(index).generator()
+
+    @pytest.mark.parametrize("suffix", [(), (101,)], ids=["plain", "thinning"])
+    @pytest.mark.parametrize("path", PATHS, ids=["empty", "one", "nested"])
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5])
+    def test_generators_match_reference(self, seed, path, suffix):
+        # block b of `blocks` draws like SFC64 seeded with
+        # SeedSequence(seed, spawn_key=(stream_id, *path, b, *suffix))
+        parent = RngStream(seed, 0, path)
+        grid = make_grid(0.0, 1.0, 64)
+        for b, (_, block) in enumerate(blocks(parent, 2 * BLOCK + 5)):
+            stream = block.stream
+            for k in suffix:
+                stream = stream.child(k)
+            seq = np.random.SeedSequence(seed, spawn_key=(0, *path, b, *suffix))
+            gen = stream.generator()
+            ref_gen = np.random.Generator(np.random.SFC64(seq))
+            assert np.array_equal(gen.standard_normal(9),
+                                  ref_gen.standard_normal(9))
+            assert np.array_equal(gen.uniform(size=3), ref_gen.uniform(size=3))
+            assert np.array_equal(ctmc_states(grid, self.CTMC, 0, gen),
+                                  ctmc_states(grid, self.CTMC, 0, ref_gen))
+
+    def test_range_matches_list(self):
+        # replications 0..reps-1 in order, block b on the stream child(b)
+        parent = RngStream(11, 2, (1,))
+        got = blocks(parent, 2 * BLOCK + 5)
+        assert [start for start, _ in got] == [0, BLOCK, 2 * BLOCK]
+        assert [block for _, block in got] == [
+            Block(parent.child(b), rows) for b, rows in enumerate((BLOCK, BLOCK, 5))]
+        fast = [block.stream.generator().standard_normal(4) for _, block in got]
+        slow = [parent.child(b).generator().standard_normal(4) for b in range(3)]
+        assert np.array_equal(fast, slow)
+
+    def test_empty(self):
+        assert blocks(RngStream(1), 0) == []
+        assert len(Block(RngStream(1).child(0), 0)) == 0
+
+    def test_generators_go_through_stream_generator(self, monkeypatch):
+        # one `RngStream.generator` call per block for its continuations,
+        # and one more per block for a debiased query's thinning uniforms
+        spec = get_preset("brownian")
+        grid = make_grid(0.0, 1.0, 8)
+        _, ctx = simulate(spec, grid, RngStream(3, 0), 0)
+        rng = RngStream(3, 1)
+        calls = []
+        keyed = RngStream.generator
+
+        def spy(stream):
+            calls.append(stream)
+            return keyed(stream)
+
+        monkeypatch.setattr(RngStream, "generator", spy)
+        reps = 2 * BLOCK + 3
+        for _ in iter_continuations(spec, ctx, grid, rng, reps):
+            pass
+        assert calls == [rng.child(b) for b in range(3)]
+        calls.clear()
+        query = SmallBallQuery(0, constant_path(grid, 0.0), 1.0)
+        estimate_many(spec, ctx, [query], reps, rng)
+        assert calls == [s for b in range(3)
+                         for s in (rng.child(b), rng.child(b).child(101))]
+
+    # The two tests below keep the names they had when the thinning
+    # uniforms came from a vectorised Philox kernel.
+    @pytest.mark.parametrize("n", [1, 4, 5, 10])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_philox_uniforms_match_generator_random(self, seed, n):
+        # block b's thinning uniforms are random((rows, n)) of
+        # rng.child(b).child(101), row by row
+        rng = RngStream(seed, 5, (1, 2))
+        for b in self.INDICES:
+            u = thinning_uniforms(rng, b, 3, n)
+            seq = np.random.SeedSequence(seed, spawn_key=(5, 1, 2, b, 101))
+            ref = np.random.Generator(np.random.SFC64(seq)).random(3 * n)
+            assert u.dtype == np.float64 and u.shape == (3, n)
+            assert u.tobytes() == ref.tobytes()
+
+    def test_philox_uniforms_empty(self):
+        assert thinning_uniforms(RngStream(1), 3, 0, 2).shape == (0, 2)
 
 
 class TestWilson:

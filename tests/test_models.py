@@ -395,6 +395,15 @@ class TestChunkMemory:
         allowance = 128 * self.ROWS + 2 * np.getbufsize() * 8
         assert peak <= (2.05 if two_sources else 1.05) * block.nbytes + allowance
 
+    def test_sources_continue_one_stream(self):
+        # each row draws its source-0 normals, then its source-1 normals,
+        # from the block's one stream
+        block, xi = _fresh_normals(RngStream(32, 1).generator(), 5, 7, 2)
+        assert block.flags.c_contiguous and xi.flags.c_contiguous
+        assert not np.any(block[:, 0])
+        flat = RngStream(32, 1).generator().standard_normal((5, 14))
+        assert np.array_equal(block[:, 1:], flat[:, :7])
+        assert np.array_equal(xi, flat[:, 7:])
 
 
 class TestStreamContract:
@@ -418,14 +427,6 @@ class TestStreamContract:
             z += ctx.z_t
             assert paths.tobytes() == z.tobytes()
 
-    def test_two_sources_draw_row_by_row(self):
-        # each row draws its source-0 normals, then its source-1 normals
-        block, xi = _fresh_normals(RngStream(32, 1).generator(), 5, 7, 2)
-        assert block.flags.c_contiguous and xi.flags.c_contiguous
-        assert not np.any(block[:, 0])
-        flat = RngStream(32, 1).generator().standard_normal((5, 14))
-        assert np.array_equal(block[:, 1:], flat[:, :7])
-        assert np.array_equal(xi, flat[:, 7:])
 
 
 class TestFamilies:
