@@ -111,8 +111,9 @@ class TimeGrid:
 def make_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
     if n_steps < 1:
         raise ZeroSteps(f"n_steps must be >= 1, got {n_steps}")
-    if not t_end > t_start:
-        raise NonPositiveSpan(f"need t_end > t_start, got [{t_start}, {t_end}]")
+    if not (t_end > t_start and np.isfinite(t_start) and np.isfinite(t_end)):
+        raise NonPositiveSpan(
+            f"need finite t_end > t_start, got [{t_start}, {t_end}]")
     return TimeGrid(float(t_start), float(t_end), int(n_steps))
 
 

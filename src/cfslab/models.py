@@ -107,11 +107,11 @@ class ValidationReport:
 
 _VALIDATE_GRID = TimeGrid(0.0, 1.0, 256)
 _VALIDATE_PATHS = 100
-# rows per fOU tile of a Comte-Renault REDRAW chunk: the tile's three (8, m)
-# temporaries stay under 5% of a 512-row block, and a 1024-row chunk at 2^11
-# steps, restart 1024, runs as fast as with 32-row tiles (about 118 ms on a
-# 2-vCPU Xeon) and 7% faster than with 4-row tiles
-_FOU_TILE_ROWS = 8
+# rows per tile of a REDRAW chunk's row passes (fOU, Heston's leverage): an
+# fOU tile's three (8, m) temporaries stay under 5% of a 512-row block, and a
+# 1024-row chunk at 2^11 steps, restart 1024, runs as fast as with 32-row tiles
+# (about 118 ms on a 2-vCPU Xeon) and 7% faster than with 4-row tiles
+_TILE_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -301,59 +301,60 @@ class _VolPrice(ModelSpec):
     A family supplies `_volatility(grid, rng)`, g at the nodes plus its
     frozen drivers, and for REDRAW either `_markov_vol(ctx, grid_tail,
     gen)`, one replication's g on the tail cells, or its own `_redraw`
-    returning the W normals and g per replication. `_log_price`
-    integrates the log price for the history and every continuation.
-    g is independent of W except in `Heston`, whose variance is driven by
-    a Brownian B with d<W, B> = rho dt.
+    returning the price noise, as normals in columns 1: of the chunk's
+    output array, and g per replication. `_log_price` integrates the log
+    price for the history and every continuation. g is independent of W
+    except in `Heston`, whose variance is driven by a Brownian B with
+    d<W, B> = rho dt, so that its price noise mixes in B's.
     """
 
     mu: float = 0.0
     hk_mode: HkMode = HkMode.FIXED
-
-    _root = 1.0  # weight of W in the price noise
 
     def __post_init__(self):
         super().__post_init__()
         if not np.isfinite(self.mu):
             raise BadParams("mu must be finite")
 
-    def _cell_drift(self, g, dt, frozen, i0, out=None):
-        """(mu - g^2 / 2) dt per cell, into `out` (which may be g)."""
-        out = np.multiply(np.square(g, out=out), 0.5, out=out)
-        return np.multiply(np.subtract(self.mu, out, out=out), dt, out=out)
-
-    def _log_price(self, z0, g, z, scale, dt, frozen, i0):
+    def _log_price(self, z0, g, z, scale, dt):
         """Finish z, a path or one row per replication whose columns 1:
-        hold standard normals xi, as z0 + cumsum0(cell drift) + root *
-        cumsum0(g * xi * scale) for the per-cell left-point volatility g
-        from node i0 on: a row, or one row per replication (overwritten)."""
+        hold the price noise xi, as z0 + cumsum0((mu - g^2/2) dt) +
+        cumsum0(g * xi * scale) for the per-cell left-point volatility g:
+        a row, or one row per replication (overwritten)."""
         x = z[..., 1:]
         x *= g
-        drift = self._cell_drift(g, dt, frozen, i0, g if g.ndim > 1 else None)
+        drift = np.square(g, out=g if g.ndim > 1 else None)
+        drift *= 0.5
+        np.subtract(self.mu, drift, out=drift)
+        drift *= dt
         z *= scale
         np.cumsum(z, axis=-1, out=z)
-        z *= self._root
         np.cumsum(drift, axis=-1, out=drift)
         drift += z0
         z[..., 0] += z0
         x += drift
         return z
 
+    def _price_noise(self, x, frozen, i0, unit):
+        """x, the W noise of the cells from node i0 on (unit 1: increments,
+        sqrt(dt): normals), made the price noise in place; x by default."""
+
     def history(self, grid, rng):
         z = np.diff(gaussian.gen_brownian(grid, rng.child(0)).values, prepend=0.0)
         g, frozen = self._volatility(grid, rng)
         frozen["g"] = g
-        return self._log_price(0.0, g[:-1], z, 1.0, grid.dt, frozen, 0), frozen
+        self._price_noise(z[1:], frozen, 0, 1.0)
+        return self._log_price(0.0, g[:-1], z, 1.0, grid.dt), frozen
 
     def continuation(self, ctx, grid_tail, gen, rows):
+        dt = grid_tail.dt
         if self.hk_mode is HkMode.REDRAW:
             z, g = self._redraw(ctx, grid_tail, gen, rows)
         else:
             (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
             g = ctx.frozen["g"][ctx.t_index : -1]
-        dt = grid_tail.dt
-        return self._log_price(ctx.z_t, g, z, np.sqrt(dt), dt, ctx.frozen,
-                               ctx.t_index)
+            self._price_noise(z[:, 1:], ctx.frozen, ctx.t_index, np.sqrt(dt))
+        return self._log_price(ctx.z_t, g, z, np.sqrt(dt), dt)
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # Markov volatility redrawn per replication (event-driven), drawn
@@ -385,58 +386,49 @@ class Heston(_VolPrice):
         if not -1.0 < self.rho < 1.0:
             raise BadParams("rho must be in (-1, 1)")
 
-    @property
-    def _root(self) -> float:
-        return np.sqrt(1.0 - self.rho ** 2)
+    def _leverage(self, x, b):
+        """x <- sqrt(1 - rho^2) x + rho b: price noise from W's x and B's b."""
+        x *= np.sqrt(1.0 - self.rho ** 2)
+        x += self.rho * b
 
-    def _cell_drift(self, g, dt, frozen, i0, out=None):
-        leverage = self.rho * g * frozen["db"][i0:]
-        return np.add(super()._cell_drift(g, dt, frozen, i0, out), leverage, out=out)
+    def _price_noise(self, x, frozen, i0, unit):
+        self._leverage(x, frozen["db"][i0:] / unit)
+
+    def _cir_step(self, v, db, dt):
+        """One full-truncation Euler step of the variance (Lord, Koekkoek
+        & van Dijk 2010) over a cell of width dt with B increment db:
+        (sqrt(v+) at the cell's left point, v at its right point)."""
+        c = self.cir
+        vp = np.maximum(v, 0.0)
+        g = np.sqrt(vp)
+        return g, v + (c.theta - vp) * (c.kappa * dt) + c.xi * g * db
 
     def _volatility(self, grid, rng):
-        n = grid.n_steps
-        c = self.cir
-        db = rng.child(1).generator().normal(0.0, np.sqrt(grid.dt), n)
-        if not c.feller_ok:
+        db = rng.child(1).generator().normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+        if not self.cir.feller_ok:
             warnings.warn(
                 "2*kappa*theta < xi**2: variance can hit zero", FellerWarning,
                 stacklevel=4)
-        v = np.empty(n + 1)
-        v[0] = c.v0
-        for i in range(n):
-            vp = max(v[i], 0.0)
-            v[i + 1] = v[i] + c.kappa * (c.theta - vp) * grid.dt \
-                + c.xi * np.sqrt(vp) * db[i]
+        v = np.full(grid.n_nodes, float(self.cir.v0))
+        for i, d in enumerate(db):
+            v[i + 1] = self._cir_step(v[i], d, grid.dt)[1]
         return np.sqrt(np.clip(v, 0.0, None)), {"v": v, "db": db}
 
-    def continuation(self, ctx, grid_tail, gen, rows):
-        if self.hk_mode is HkMode.FIXED:
-            return super().continuation(ctx, grid_tail, gen, rows)
-        # REDRAW: v and the price advance together, one Euler step per
-        # cell, whose W normal is read before its end node overwrites it
-        m = grid_tail.n_steps
-        dt = grid_tail.dt
-        lz, xi_b = _fresh_normals(gen, rows, m, 2)
-        c = self.cir
-        root = self._root
+    def _redraw(self, ctx, grid_tail, gen, rows):
+        # The price noise mixes in row tiles; then v advances a cell at a
+        # time over all rows, each cell's volatility overwriting its B normal,
+        # 8 columns at a time: one column of a (rows, 2^k) block thrashes.
+        m, dt = grid_tail.n_steps, grid_tail.dt
+        z, xi_b = _fresh_normals(gen, rows, m, 2)
+        for lo in range(0, rows, _TILE_ROWS):
+            self._leverage(z[lo : lo + _TILE_ROWS, 1:], xi_b[lo : lo + _TILE_ROWS])
         v = np.full(rows, float(ctx.frozen["v"][ctx.t_index]))
-        lz[:, 0] = ctx.z_t
-        sdt = np.sqrt(dt)
-        vp, g, dbi, step = np.empty((4, rows))
-        for i in range(m):
-            np.clip(v, 0.0, None, out=vp)
-            np.sqrt(vp, out=g)
-            np.multiply(xi_b[:, i], sdt, out=dbi)
-            np.multiply(g, self.rho * dbi + root * sdt * lz[:, i + 1], out=step)
-            step += self.mu * dt
-            step -= 0.5 * dt * vp
-            np.add(lz[:, i], step, out=lz[:, i + 1])
-            vp -= c.theta
-            vp *= -c.kappa * dt
-            v += vp
-            dbi *= c.xi * g
-            v += dbi
-        return lz
+        for lo in range(0, m, 8):
+            cells = xi_b[:, lo : lo + 8] * np.sqrt(dt)
+            for db in cells.T:
+                db[...], v = self._cir_step(v, db, dt)
+            xi_b[:, lo : lo + 8] = cells
+        return z, xi_b
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -478,8 +470,8 @@ class ComteRenault(_VolPrice):
         fbm = ctx.frozen["fbm"]
         tails = _fbm_tails(self.fou.hurst, ctx, xi_f)
         cum0 = fou_quadrature(ctx.grid, self.fou, fbm[: i0 + 1])[-1]
-        for lo in range(0, rows, _FOU_TILE_ROWS):
-            g = tails[lo : lo + _FOU_TILE_ROWS]
+        for lo in range(0, rows, _TILE_ROWS):
+            g = tails[lo : lo + _TILE_ROWS]
             b = np.concatenate((np.full((len(g), 1), fbm[i0]), g[:, :-1]), axis=1)
             np.exp(fou_from_fbm(ctx.grid, self.fou, b, i0, cum0), out=g)
         return z, tails
@@ -598,19 +590,11 @@ class Bridge(ModelSpec):
                " (no parameters)")
 
     def history(self, grid, rng):
-        # Singular-drift reconstruction of the pinned path: the drift
-        # (terminal - Z_s) / (T - s) is integrated with the closed-form cell
-        # integral of 1/(T - s) frozen at the left numerator, pinning the
-        # final cell exactly.
-        dw = rng.child(0).generator().normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+        # the terminal first, then the exact bridge recursion towards it
         terminal = rng.child(2).generator().normal(0.0, np.sqrt(grid.span))
-        rem = grid.t_end - np.asarray(grid.nodes)
-        z = np.empty(grid.n_steps + 1)
-        z[0] = 0.0
-        for i in range(grid.n_steps - 1):
-            z[i + 1] = z[i] + (terminal - z[i]) * np.log(rem[i] / rem[i + 1]) + dw[i]
-        z[-1] = terminal
-        return z, {"terminal": terminal}
+        z = np.zeros(grid.n_steps + 1)
+        rng.child(0).generator().standard_normal(out=z[1:])
+        return bridge_paths(grid, 0.0, terminal, z), {"terminal": terminal}
 
     def continuation(self, ctx, grid_tail, gen, rows):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)

@@ -42,6 +42,11 @@ class TestTimeGrid:
             make_grid(1.0, 1.0, 4)
         with pytest.raises(NonPositiveSpan):
             make_grid(2.0, 1.0, 4)
+        # an infinite endpoint used to give NaN and infinite nodes
+        with pytest.raises(NonPositiveSpan):
+            make_grid(0.0, np.inf, 4)
+        with pytest.raises(NonPositiveSpan):
+            make_grid(-np.inf, 1.0, 4)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ZeroSteps):

@@ -18,7 +18,12 @@ from cfslab.core import (
     make_grid,
     tail_grid,
 )
-from cfslab.gaussian import FouSpec, gen_brownian
+from cfslab.gaussian import (
+    FouSpec,
+    fbm_conditional_factors,
+    fou_from_fbm,
+    gen_brownian,
+)
 from cfslab.jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
 from cfslab.models import (
     FAMILIES,
@@ -81,6 +86,23 @@ class TestSimulate:
         # price families report the log price, started at log 1 = 0
         p, _ = simulate(get_preset(name), GRID, RngStream(5, 0), 0)
         assert p.values[0] == 0.0
+
+    def test_bridge_history_is_an_exact_bridge(self):
+        # the history ends exactly at its frozen terminal, and given that
+        # terminal each node has the bridge variance s (T - s) / T, on a grid
+        # coarse enough that an Euler reconstruction misses it by 30% or more
+        grid = make_grid(0.0, 2.0, 4)
+        t = np.asarray(grid.nodes)
+        dev = np.empty((4000, grid.n_nodes))
+        for seed in range(len(dev)):
+            path, ctx = simulate(get_preset("bridge"), grid, RngStream(seed, 0))
+            terminal = ctx.frozen["terminal"]
+            assert path.values[-1] == terminal
+            dev[seed] = path.values - terminal * t / grid.t_end
+        var = np.var(dev[:, 1:-1], axis=0)
+        assert var == pytest.approx((t * (grid.t_end - t) / grid.t_end)[1:-1],
+                                    rel=0.1)
+        assert var[1] == pytest.approx(grid.span / 4, rel=0.1)  # at T/2
 
     def test_feller_warning(self):
         spec = Heston(name="bad_feller", rho=0.0,
@@ -194,6 +216,17 @@ class TestRegimeState:
         assert np.allclose(p, expected, rtol=0.0, atol=1e-12)
 
 
+def _comte_renault_vol(spec, ctx, tail, gen):
+    # one row's fBm tail from its exact conditional law given the frozen
+    # history, then exp(fOU) over the whole path at the left points
+    i0 = ctx.t_index
+    fbm = ctx.frozen["fbm"]
+    a, factor = fbm_conditional_factors(spec.fou.hurst, ctx.grid, i0)
+    tails = a @ fbm[1 : i0 + 1] + factor @ gen.standard_normal(tail.n_steps)
+    v = fou_from_fbm(ctx.grid, spec.fou, np.concatenate((fbm[: i0 + 1], tails)))
+    return np.exp(v[i0:-1])
+
+
 class TestLogPriceOracle:
     # the shared log-price integrator against a plain per-cell loop
     GRID = make_grid(0.0, 1.0, 256)
@@ -201,6 +234,7 @@ class TestLogPriceOracle:
     REDRAW_VOL = {
         "bns": lambda spec, ctx, tail, gen: np.sqrt(jumps.bns_forward(
             spec.bns, float(ctx.frozen["v"][ctx.t_index]), tail, gen)[:-1]),
+        "comte_renault": _comte_renault_vol,
         "regime": lambda spec, ctx, tail, gen: spec.ctmc.vol_levels[
             jumps.ctmc_states(tail, spec.ctmc,
                               int(ctx.frozen["state"][ctx.t_index]), gen)[:-1]],
@@ -230,9 +264,11 @@ class TestLogPriceOracle:
                                  spec.mu, spec.rho, ctx.frozen["db"])[0]
         assert np.allclose(path.values, expected, rtol=0.0, atol=1e-12)
 
-    def test_heston_redraw_continuation(self):
-        # variance and log price advance together in one fused Euler loop
-        spec = get_preset("heston")  # REDRAW
+    @pytest.mark.parametrize("rho", [-0.3, 0.0, 0.9])  # the preset's first
+    def test_heston_redraw_continuation(self, rho):
+        # the variance advances one shared full-truncation Euler step per
+        # cell over all rows; the shared integrator finishes the log price
+        spec = dataclasses.replace(get_preset("heston"), rho=rho)  # REDRAW
         c = spec.cir
         i0 = self.RESTART
         _, ctx = simulate(spec, self.GRID, RngStream(22, 0), i0)
@@ -255,8 +291,10 @@ class TestLogPriceOracle:
                                      spec.rho, sdt * xi_b)[0]
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 
-    def test_heston_fixed_continuation(self):
-        spec = dataclasses.replace(get_preset("heston"), hk_mode=HkMode.FIXED)
+    @pytest.mark.parametrize("rho", [-0.3, 0.0, 0.9])  # the preset's first
+    def test_heston_fixed_continuation(self, rho):
+        spec = dataclasses.replace(get_preset("heston"), hk_mode=HkMode.FIXED,
+                                   rho=rho)
         i0 = self.RESTART
         _, ctx = simulate(spec, self.GRID, RngStream(21, 0), i0)
         tail = tail_grid(self.GRID, i0)
