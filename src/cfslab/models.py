@@ -165,22 +165,29 @@ def _validation_paths(spec: ModelSpec):
 @dataclass(frozen=True, kw_only=True)
 class ModelSpec:
     """A named process. Each subclass is one model family, declares only its
-    own parameters and implements `history(grid, rng)`, the values at every
-    node plus the drivers a continuation reads, and `continuation(ctx,
-    grid_tail, gen, rows)`, `rows` continuations drawn from the block
-    generator `gen`; the module-level entry points dispatch to it. Price
-    families report the log price, started at log 1 = 0.
+    own parameters and implements `fixed_continuation(ctx, grid_tail, gen,
+    rows)`, `rows` continuations drawn from `gen` given the drivers frozen
+    in `ctx`, and, if it has drivers independent of W, `drivers(grid,
+    rng)`; `simulate` and `continuation` (which routes REDRAW where a
+    family has it) dispatch to these. Price families report the log price.
     """
 
     tag: ClassVar[str]  # family name in contexts and in `cfslab models`
     summary: ClassVar[str]  # its line in `cfslab models`
     positive_state: ClassVar[bool] = False  # reported process > 0 in R
+    z0: ClassVar[float] = 0.0  # reported process at node 0
 
     name: str = ""
 
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", self.tag)
+
+    def drivers(self, grid, rng) -> dict:
+        return {}  # the frozen paths of the drivers independent of W
+
+    def continuation(self, ctx, grid_tail, gen, rows):
+        return self.fixed_continuation(ctx, grid_tail, gen, rows)
 
     def noise_scale(self, ctx, grid_tail) -> np.ndarray | None:
         return None  # see `cell_noise_scale`
@@ -209,35 +216,37 @@ class MixedFbm(ModelSpec):
         if not 0.0 <= self.fbm_weight < np.inf:
             raise BadParams("fbm_weight must be finite and >= 0")
 
-    def history(self, grid, rng):
-        w = gaussian.gen_brownian(grid, rng.child(0)).values
-        if self.fbm_weight > 0.0:
-            fbm = gaussian.gen_fbm(
-                grid, gaussian.FbmSpec(self.hurst), rng.child(1)).values
+    def drivers(self, grid, rng):
+        if self.fbm_weight == 0.0:
+            return {}
+        return {"fbm": gaussian.gen_fbm(
+            grid, gaussian.FbmSpec(self.hurst), rng.child(1)).values}
+
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+        (w,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+        # W is scaled and summed in place; the leading zero stays zero
+        w *= np.sqrt(grid_tail.dt)
+        np.cumsum(w, axis=1, out=w)
+        if self.fbm_weight == 0.0:
+            w += ctx.z_t
         else:
-            fbm = np.zeros(grid.n_steps + 1)
-        return self.fbm_weight * fbm + w, {"fbm": fbm}
+            fbm = ctx.frozen["fbm"][ctx.t_index :]
+            w += ctx.z_t + self.fbm_weight * (fbm - fbm[0])
+        return w
 
     def continuation(self, ctx, grid_tail, gen, rows):
-        redraw = self.hk_mode is HkMode.REDRAW and self.fbm_weight > 0
-        w_hat, *xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 1 + redraw)
-        # W is scaled and summed in place; the leading zero stays zero
-        w_hat *= np.sqrt(grid_tail.dt)
-        np.cumsum(w_hat, axis=1, out=w_hat)
-        if self.fbm_weight == 0.0:
-            w_hat += ctx.z_t
-            return w_hat
-        fbm, i0 = ctx.frozen["fbm"], ctx.t_index
-        if not redraw:
-            w_hat += ctx.z_t + self.fbm_weight * (fbm[i0:] - fbm[i0])
-        else:
-            rel = _fbm_tails(self.hurst, ctx, xi_f[0])
-            rel -= fbm[i0]
-            rel *= self.fbm_weight
-            rel += ctx.z_t
-            w_hat[:, 0] += ctx.z_t
-            w_hat[:, 1:] += rel
-        return w_hat
+        if self.hk_mode is HkMode.FIXED or self.fbm_weight == 0.0:
+            return self.fixed_continuation(ctx, grid_tail, gen, rows)
+        w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
+        w *= np.sqrt(grid_tail.dt)
+        np.cumsum(w, axis=1, out=w)
+        rel = _fbm_tails(self.hurst, ctx, xi_f)
+        rel -= ctx.frozen["fbm"][ctx.t_index]
+        rel *= self.fbm_weight
+        rel += ctx.z_t
+        w[:, 0] += ctx.z_t
+        w[:, 1:] += rel
+        return w
 
     def noise_scale(self, ctx, grid_tail):
         if self.fbm_weight == 0.0:
@@ -258,13 +267,7 @@ class WienerIntegral(ModelSpec):
     k_fn: Callable[[np.ndarray], np.ndarray]
     h_fn: Callable[[np.ndarray], np.ndarray] = np.zeros_like
 
-    def history(self, grid, rng):
-        t = np.asarray(grid.nodes)
-        z = np.diff(gaussian.gen_brownian(grid, rng.child(0)).values, prepend=0.0)
-        z[1:] *= self.k_fn(t)[:-1]
-        return self.h_fn(t) + np.cumsum(z, out=z), {}
-
-    def continuation(self, ctx, grid_tail, gen, rows):
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         tail_t = np.asarray(grid_tail.nodes)
         hvals = self.h_fn(tail_t)
@@ -298,14 +301,15 @@ class WienerIntegral(ModelSpec):
 class _VolPrice(ModelSpec):
     """Log price with d log P = (mu - g^2/2) dt + g dW and volatility g.
 
-    A family supplies `_volatility(grid, rng)`, g at the nodes plus its
-    frozen drivers, and for REDRAW either `_markov_vol(ctx, grid_tail,
+    A family supplies `drivers(grid, rng)`, its frozen drivers with g at
+    the nodes under "g", and for REDRAW either `_markov_vol(ctx, grid_tail,
     gen)`, one replication's g on the tail cells, or its own `_redraw`
     returning the price noise, as normals in columns 1: of the chunk's
     output array, and g per replication. `_log_price` integrates the log
-    price for the history and every continuation. g is independent of W
-    except in `Heston`, whose variance is driven by a Brownian B with
-    d<W, B> = rho dt, so that its price noise mixes in B's.
+    price for every continuation, the history being the FIXED one from
+    node 0. g is independent of W except in `Heston`, whose variance is
+    driven by a Brownian B with d<W, B> = rho dt, so that its price noise
+    mixes in B's.
     """
 
     mu: float = 0.0
@@ -316,45 +320,40 @@ class _VolPrice(ModelSpec):
         if not np.isfinite(self.mu):
             raise BadParams("mu must be finite")
 
-    def _log_price(self, z0, g, z, scale, dt):
-        """Finish z, a path or one row per replication whose columns 1:
-        hold the price noise xi, as z0 + cumsum0((mu - g^2/2) dt) +
-        cumsum0(g * xi * scale) for the per-cell left-point volatility g:
-        a row, or one row per replication (overwritten)."""
-        x = z[..., 1:]
+    def _log_price(self, z0, g, z, dt):
+        """Finish z, one row per replication whose columns 1: hold the
+        price noise xi (standard normals), as z0 + cumsum0((mu - g^2/2) dt)
+        + cumsum0(g * xi * sqrt(dt)) for the per-cell left-point volatility
+        g: a row, or one row per replication (overwritten)."""
+        x = z[:, 1:]
         x *= g
         drift = np.square(g, out=g if g.ndim > 1 else None)
         drift *= 0.5
         np.subtract(self.mu, drift, out=drift)
         drift *= dt
-        z *= scale
-        np.cumsum(z, axis=-1, out=z)
+        z *= np.sqrt(dt)
+        np.cumsum(z, axis=1, out=z)
         np.cumsum(drift, axis=-1, out=drift)
         drift += z0
-        z[..., 0] += z0
+        z[:, 0] += z0
         x += drift
         return z
 
-    def _price_noise(self, x, frozen, i0, unit):
-        """x, the W noise of the cells from node i0 on (unit 1: increments,
-        sqrt(dt): normals), made the price noise in place; x by default."""
+    def _price_noise(self, x, ctx):
+        """x, W's normals on the cells from the restart node of `ctx` on,
+        made the price noise in place; x by default."""
 
-    def history(self, grid, rng):
-        z = np.diff(gaussian.gen_brownian(grid, rng.child(0)).values, prepend=0.0)
-        g, frozen = self._volatility(grid, rng)
-        frozen["g"] = g
-        self._price_noise(z[1:], frozen, 0, 1.0)
-        return self._log_price(0.0, g[:-1], z, 1.0, grid.dt), frozen
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+        self._price_noise(z[:, 1:], ctx)
+        g = ctx.frozen["g"][ctx.t_index : -1]
+        return self._log_price(ctx.z_t, g, z, grid_tail.dt)
 
     def continuation(self, ctx, grid_tail, gen, rows):
-        dt = grid_tail.dt
-        if self.hk_mode is HkMode.REDRAW:
-            z, g = self._redraw(ctx, grid_tail, gen, rows)
-        else:
-            (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-            g = ctx.frozen["g"][ctx.t_index : -1]
-            self._price_noise(z[:, 1:], ctx.frozen, ctx.t_index, np.sqrt(dt))
-        return self._log_price(ctx.z_t, g, z, np.sqrt(dt), dt)
+        if self.hk_mode is HkMode.FIXED:
+            return self.fixed_continuation(ctx, grid_tail, gen, rows)
+        z, g = self._redraw(ctx, grid_tail, gen, rows)
+        return self._log_price(ctx.z_t, g, z, grid_tail.dt)
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # Markov volatility redrawn per replication (event-driven), drawn
@@ -391,8 +390,8 @@ class Heston(_VolPrice):
         x *= np.sqrt(1.0 - self.rho ** 2)
         x += self.rho * b
 
-    def _price_noise(self, x, frozen, i0, unit):
-        self._leverage(x, frozen["db"][i0:] / unit)
+    def _price_noise(self, x, ctx):
+        self._leverage(x, ctx.frozen["db"][ctx.t_index :] / np.sqrt(ctx.grid.dt))
 
     def _cir_step(self, v, db, dt):
         """One full-truncation Euler step of the variance (Lord, Koekkoek
@@ -403,16 +402,16 @@ class Heston(_VolPrice):
         g = np.sqrt(vp)
         return g, v + (c.theta - vp) * (c.kappa * dt) + c.xi * g * db
 
-    def _volatility(self, grid, rng):
+    def drivers(self, grid, rng):
         db = rng.child(1).generator().normal(0.0, np.sqrt(grid.dt), grid.n_steps)
         if not self.cir.feller_ok:
             warnings.warn(
                 "2*kappa*theta < xi**2: variance can hit zero", FellerWarning,
-                stacklevel=4)
+                stacklevel=3)
         v = np.full(grid.n_nodes, float(self.cir.v0))
         for i, d in enumerate(db):
             v[i + 1] = self._cir_step(v[i], d, grid.dt)[1]
-        return np.sqrt(np.clip(v, 0.0, None)), {"v": v, "db": db}
+        return {"v": v, "db": db, "g": np.sqrt(np.clip(v, 0.0, None))}
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # The price noise mixes in row tiles; then v advances a cell at a
@@ -439,9 +438,9 @@ class Bns(_VolPrice):
 
     bns: BnsSpec
 
-    def _volatility(self, grid, rng):
+    def drivers(self, grid, rng):
         v = jumps.gen_bns_vol(grid, self.bns, rng.child(1)).values
-        return np.sqrt(v), {"v": v}
+        return {"v": v, "g": np.sqrt(v)}
 
     def _markov_vol(self, ctx, grid_tail, gen):
         v = jumps.bns_forward(
@@ -457,10 +456,10 @@ class ComteRenault(_VolPrice):
 
     fou: FouSpec
 
-    def _volatility(self, grid, rng):
+    def drivers(self, grid, rng):
         fbm = gaussian.gen_fbm(grid, gaussian.FbmSpec(self.fou.hurst), rng.child(1))
         v = fou_from_fbm(grid, self.fou, fbm.values)
-        return np.exp(v), {"v": v, "fbm": fbm.values}
+        return {"v": v, "fbm": fbm.values, "g": np.exp(v)}
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # fOU from the restart node on, seeded with the history's quadrature
@@ -485,11 +484,11 @@ class Regime(_VolPrice):
 
     ctmc: CtmcSpec
 
-    def _volatility(self, grid, rng):
+    def drivers(self, grid, rng):
         state = jumps.ctmc_states(
             grid, self.ctmc, self.ctmc.initial_state, rng.child(1).generator())
         g = self.ctmc.vol_levels[state]
-        return g, {"state": state, "v": g}
+        return {"state": state, "v": g, "g": g}
 
     def _markov_vol(self, ctx, grid_tail, gen):
         states = jumps.ctmc_states(
@@ -508,22 +507,15 @@ class SdePrice(ModelSpec):
     mu_bar: float | None = None
     sigma_bar: float | None = None
 
-    def history(self, grid, rng):
-        w = gaussian.gen_brownian(grid, rng.child(0)).values
-        return self._euler(grid, 0.0, np.diff(w, prepend=0.0)[None, :])[0], {}
-
-    def continuation(self, ctx, grid_tail, gen, rows):
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+        # log-price Euler paths, in place in the block of W increments,
+        # each read before its node overwrites it
         (lz,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        lz *= np.sqrt(grid_tail.dt)
-        return self._euler(grid_tail, ctx.z_t, lz)
-
-    def _euler(self, grid, lz0, lz):
-        """Log-price Euler paths from lz0, in place in `lz`, whose columns
-        1: hold each row's W increments (each read before it is overwritten)."""
-        dt = grid.dt
-        t = np.asarray(grid.nodes)
-        lz[:, 0] = lz0
-        for i in range(grid.n_steps):
+        dt = grid_tail.dt
+        lz *= np.sqrt(dt)
+        t = np.asarray(grid_tail.nodes)
+        lz[:, 0] = ctx.z_t
+        for i in range(grid_tail.n_steps):
             p = np.exp(lz[:, i])
             mu = np.asarray(self.mu_fn(t[i], p), dtype=float)
             sg = np.asarray(self.sigma_fn(t[i], p), dtype=float)
@@ -556,13 +548,9 @@ class Doleans(ModelSpec):
     summary = ("strictly positive exponential martingale exp(W_t - t/2)"
                " (no parameters)")
     positive_state = True
+    z0 = 1.0
 
-    def history(self, grid, rng):
-        t = np.asarray(grid.nodes)
-        w = gaussian.gen_brownian(grid, rng.child(0)).values
-        return np.exp(w - 0.5 * (t - t[0])), {}
-
-    def continuation(self, ctx, grid_tail, gen, rows):
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
         tail_t = np.asarray(grid_tail.nodes)
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         z *= np.sqrt(grid_tail.dt)
@@ -589,14 +577,10 @@ class Bridge(ModelSpec):
     summary = ("Brownian path whose history includes its own terminal value"
                " (no parameters)")
 
-    def history(self, grid, rng):
-        # the terminal first, then the exact bridge recursion towards it
-        terminal = rng.child(2).generator().normal(0.0, np.sqrt(grid.span))
-        z = np.zeros(grid.n_steps + 1)
-        rng.child(0).generator().standard_normal(out=z[1:])
-        return bridge_paths(grid, 0.0, terminal, z), {"terminal": terminal}
+    def drivers(self, grid, rng):
+        return {"terminal": rng.child(2).generator().normal(0.0, np.sqrt(grid.span))}
 
-    def continuation(self, ctx, grid_tail, gen, rows):
+    def fixed_continuation(self, ctx, grid_tail, gen, rows):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         return bridge_paths(grid_tail, ctx.z_t, ctx.frozen["terminal"], z)
 
@@ -623,19 +607,17 @@ def simulate(
     spec: ModelSpec, grid: TimeGrid, rng: RngStream, t_index: int = 0
 ) -> tuple[Path, ConditioningContext]:
     """Simulate the model on the grid and capture the conditioning context
-    at node t_index."""
+    at node t_index: the FIXED continuation of one row from node 0, given
+    `spec.drivers(grid, rng)` and W's normals from rng.child(0).generator()
+    (in REDRAW too: drivers just drawn, then frozen, give the joint law)."""
     if not 0 <= t_index < grid.n_steps:
         raise BadParams(f"t_index {t_index} not in [0, {grid.n_steps})")
-    z, frozen = spec.history(grid, rng)
-    path = Path(grid, z)
-    ctx = ConditioningContext(
-        tag=spec.tag,
-        grid=grid,
-        t_index=t_index,
-        z_values=z[: t_index + 1].copy(),
-        frozen=frozen,
-    )
-    return path, ctx
+    frozen = spec.drivers(grid, rng)
+    start = ConditioningContext(spec.tag, grid, 0, np.array([spec.z0]), frozen)
+    z = spec.fixed_continuation(start, grid, rng.child(0).generator(), 1)[0]
+    ctx = ConditioningContext(spec.tag, grid, t_index, z[: t_index + 1].copy(),
+                              frozen)
+    return Path(grid, z), ctx
 
 
 def check_context(

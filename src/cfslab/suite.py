@@ -115,6 +115,9 @@ class BatteryTemplate:
         # one continuation has no spread to scale the targets by
         if self.pilot_reps < 2:
             raise BadParams(f"pilot_reps must be >= 2, got {self.pilot_reps}")
+        # no rows would make every verdict vacuously POSITIVE-ALL
+        if not self.t_fracs or not self.eps_scales:
+            raise BadParams("t_fracs and eps_scales must each be non-empty")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """The byte gate: `scripts/golden_outputs.py` runs and lists every output it
-wrote, so that a rename inside the package cannot break it unnoticed."""
+wrote, so that a rename inside the package cannot break it unnoticed, and
+`scripts/compare_outputs.py` names what differs between two such runs."""
 import hashlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "golden_outputs.py"
 
 
 def test_lists_every_output_sorted(tmp_path):
@@ -21,3 +26,36 @@ def test_lists_every_output_sorted(tmp_path):
     for line in lines:
         digest, name = line.split("  ")
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _compare(parent: Path, change: Path) -> list[str]:
+    run = subprocess.run([sys.executable, str(SCRIPTS / "compare_outputs.py"),
+                          str(parent), str(change)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_compare_names_each_difference(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "a_raw.bin").write_bytes(np.arange(6.0).tobytes())
+    (parent / "a_battery.csv").write_text(
+        "model,t_frac,style,amplitude,hits,classification\n"
+        "a,0,flat,0.5,10,POSITIVE\n"
+        "a,0,ramp_up,0.5,0,ZERO_HITS\n", encoding="utf-8")
+    (parent / "a_validate.txt").write_text("PASS\n", encoding="utf-8")
+    shutil.copytree(parent, change)
+    assert _compare(parent, change) == []
+
+    values = np.arange(6.0)
+    values[3] += 1e-15
+    (change / "a_raw.bin").write_bytes(values.tobytes())
+    csv = (parent / "a_battery.csv").read_text(encoding="utf-8")
+    (change / "a_battery.csv").write_text(
+        csv.replace("ramp_up,0.5,0,", "ramp_up,0.5,1,"), encoding="utf-8")
+    assert _compare(parent, change) == [
+        "a_battery.csv: 1 of 2 rows differ (rows 2) in hits (max rel 1)",
+        "  row 2 (a,0,ramp_up): hits 0 -> 1",
+        "a_raw.bin: 1 of 6 doubles differ, max |diff| 8.88e-16",
+    ]

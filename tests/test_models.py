@@ -308,6 +308,48 @@ class TestLogPriceOracle:
         assert np.allclose(block, expected, rtol=0.0, atol=1e-12)
 
 
+class _Replay:
+    """A generator stub whose `standard_normal(out=)` replays given normals."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, out):
+        out[...] = self.normals
+        return out
+
+
+class TestPathwiseSplit:
+    """Given the drivers, a history and its FIXED continuation from a
+    restart are one integral split there: fed the history's own normals
+    after the restart, the continuation retraces the history's nodes."""
+
+    GRID = make_grid(0.0, 1.0, 256)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_fixed_continuation_retraces_history(self, name):
+        spec = get_preset(name)
+        if hasattr(spec, "hk_mode"):
+            spec = dataclasses.replace(spec, hk_mode=HkMode.FIXED)
+        for seed in range(3):
+            rng = RngStream(seed, 0)
+            normals = rng.child(0).generator().standard_normal(self.GRID.n_steps)
+            for t in (64, 128, 200):
+                path, ctx = simulate(spec, self.GRID, rng, t)
+                z = spec.continuation(ctx, tail_grid(self.GRID, t),
+                                      _Replay(normals[t:]), 1)[0]
+                expected = path.values[t:]
+                err = np.max(np.abs(z - expected) / (1.0 + np.abs(expected)))
+                assert err <= 1e-12, (seed, t, err)
+
+    def test_brownian_history_is_gen_brownian(self):
+        for seed in range(20):
+            rng = RngStream(seed, 0)
+            path, _ = simulate(get_preset("brownian"), self.GRID, rng)
+            w = gen_brownian(self.GRID, rng.child(0)).values
+            assert path.values.tobytes() == w.tobytes()
+
+
 class TestCellNoiseScale:
     def test_pure_brownian(self):
         spec = get_preset("brownian")

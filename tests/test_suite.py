@@ -79,6 +79,13 @@ class TestBattery:
         with pytest.raises(BadParams):
             run_battery([get_preset("brownian")], SMALL, 10, 0)
 
+    @pytest.mark.parametrize("field", ["t_fracs", "eps_scales"])
+    def test_empty_restarts_or_radii_rejected(self, field):
+        # with no rows, doleans would get the vacuous verdict POSITIVE-ALL
+        with pytest.raises(BadParams, match=field):
+            run_battery([get_preset("doleans")], BatteryTemplate(**{field: ()}),
+                        1000, 1)
+
     def test_row_accounting(self):
         rep = run_battery([get_preset("brownian")], SMALL, 1000, 1)
         # 2 restart fractions x 10 targets x 2 radii
@@ -113,12 +120,12 @@ class TestBattery:
 
 @dataclass(frozen=True, kw_only=True)
 class NotPd(ModelSpec):
-    """A family whose history factorisation always fails."""
+    """A family whose driver factorisation always fails."""
 
     tag = "NOT_PD"
-    summary = "test only: the history raises CovarianceNotPD"
+    summary = "test only: drawing the drivers raises CovarianceNotPD"
 
-    def history(self, grid, rng):
+    def drivers(self, grid, rng):
         raise CovarianceNotPD("test covariance is not positive definite")
 
 
