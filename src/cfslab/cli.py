@@ -194,6 +194,9 @@ def cmd_battery(config) -> int:
     names = [x.strip() for x in str(config["models"]).split(",") if x.strip()]
     if not names:
         raise ConfigError("key 'models': empty list")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"key 'models': repeated {', '.join(repeated)}")
     models = [catalog.get_preset(n) for n in names]
     template = BatteryTemplate(
         t_end=float(config["t_end"]),

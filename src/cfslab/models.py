@@ -121,9 +121,10 @@ def _fresh_normals(gen: np.random.Generator, rows: int, m: int,
                    n_sources: int = 1,
                    then: Callable | None = None) -> list[np.ndarray]:
     """One block's draws: the chunk's (rows, m + 1) output array, column 0
-    zero and source 0's normals in columns 1:, which the continuation
-    finishes and returns; then a C-contiguous (rows, m) array per further
-    source and, if `then` is given, one more holding `then(gen)` per row.
+    zero and source 0's normals in columns 1:, which a family's
+    `increments` scales and `_integrate` finishes in place; then a
+    C-contiguous (rows, m) array per further source and, if `then` is
+    given, one more holding `then(gen)` per row.
     Rows are drawn from the block's generator in order, each taking its
     source-0 normals, its further sources and then `then(gen)`, so fewer
     replications draw a prefix of the same rows."""
@@ -139,6 +140,23 @@ def _fresh_normals(gen: np.random.Generator, rows: int, m: int,
         if then is not None:
             out[-1][r] = then(gen)
     return out
+
+
+def _integrate(z0: float, z: np.ndarray, mean: np.ndarray | None,
+               dt: float) -> np.ndarray:
+    """Finish the paths z0 + cumsum0(z * sqrt(dt)) + mean in z, in place:
+    z is `_fresh_normals`' output array, its columns 1: already multiplied
+    by the per-cell integrand K, and mean is H's cumulative mean at nodes
+    1.. (a row, or one row per replication; overwritten), or None."""
+    z *= np.sqrt(dt)
+    np.cumsum(z, axis=1, out=z)
+    if mean is None:
+        z += z0
+    else:
+        mean += z0
+        z[:, 0] += z0
+        z[:, 1:] += mean
+    return z
 
 
 def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.ndarray:
@@ -165,11 +183,14 @@ def _validation_paths(spec: ModelSpec):
 @dataclass(frozen=True, kw_only=True)
 class ModelSpec:
     """A named process. Each subclass is one model family, declares only its
-    own parameters and implements `fixed_continuation(ctx, grid_tail, gen,
-    rows)`, `rows` continuations drawn from `gen` given the drivers frozen
-    in `ctx`, and, if it has drivers independent of W, `drivers(grid,
-    rng)`; `simulate` and `continuation` (which routes REDRAW where a
-    family has it) dispatch to these. Price families report the log price.
+    own parameters and, if it has drivers independent of W, `drivers(grid,
+    rng)`. A family Z = H + int K dW states its increment law given the
+    drivers frozen in `ctx`: `increments(ctx, grid_tail, gen, rows, mode)`
+    returns `_fresh_normals`' block with columns 1: multiplied by K, and
+    H's cumulative mean at nodes 1.. or None, redrawing the drivers'
+    future in REDRAW mode; `continuation` finishes it with `_integrate`. A
+    family outside that form overrides `continuation` instead. Price
+    families report the log price.
     """
 
     tag: ClassVar[str]  # family name in contexts and in `cfslab models`
@@ -186,8 +207,13 @@ class ModelSpec:
     def drivers(self, grid, rng) -> dict:
         return {}  # the frozen paths of the drivers independent of W
 
-    def continuation(self, ctx, grid_tail, gen, rows):
-        return self.fixed_continuation(ctx, grid_tail, gen, rows)
+    def continuation(self, ctx, grid_tail, gen, rows, mode=None):
+        """`rows` continuations drawn from `gen` given `ctx`, in `mode`: by
+        default the spec's `hk_mode`, FIXED for a family without one."""
+        z, mean = self.increments(
+            ctx, grid_tail, gen, rows,
+            mode or getattr(self, "hk_mode", HkMode.FIXED))
+        return _integrate(ctx.z_t, z, mean, grid_tail.dt)
 
     def noise_scale(self, ctx, grid_tail) -> np.ndarray | None:
         return None  # see `cell_noise_scale`
@@ -222,31 +248,20 @@ class MixedFbm(ModelSpec):
         return {"fbm": gaussian.gen_fbm(
             grid, gaussian.FbmSpec(self.hurst), rng.child(1)).values}
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
-        (w,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        # W is scaled and summed in place; the leading zero stays zero
-        w *= np.sqrt(grid_tail.dt)
-        np.cumsum(w, axis=1, out=w)
+    def increments(self, ctx, grid_tail, gen, rows, mode):
+        # K = 1; H is the weighted fBm's rise since the restart node
         if self.fbm_weight == 0.0:
-            w += ctx.z_t
+            return _fresh_normals(gen, rows, grid_tail.n_steps)[0], None
+        fbm = ctx.frozen["fbm"]
+        if mode is HkMode.FIXED:
+            (w,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+            rel = fbm[ctx.t_index + 1 :] - fbm[ctx.t_index]
         else:
-            fbm = ctx.frozen["fbm"][ctx.t_index :]
-            w += ctx.z_t + self.fbm_weight * (fbm - fbm[0])
-        return w
-
-    def continuation(self, ctx, grid_tail, gen, rows):
-        if self.hk_mode is HkMode.FIXED or self.fbm_weight == 0.0:
-            return self.fixed_continuation(ctx, grid_tail, gen, rows)
-        w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
-        w *= np.sqrt(grid_tail.dt)
-        np.cumsum(w, axis=1, out=w)
-        rel = _fbm_tails(self.hurst, ctx, xi_f)
-        rel -= ctx.frozen["fbm"][ctx.t_index]
+            w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
+            rel = _fbm_tails(self.hurst, ctx, xi_f)
+            rel -= fbm[ctx.t_index]
         rel *= self.fbm_weight
-        rel += ctx.z_t
-        w[:, 0] += ctx.z_t
-        w[:, 1:] += rel
-        return w
+        return w, rel
 
     def noise_scale(self, ctx, grid_tail):
         if self.fbm_weight == 0.0:
@@ -267,20 +282,18 @@ class WienerIntegral(ModelSpec):
     k_fn: Callable[[np.ndarray], np.ndarray]
     h_fn: Callable[[np.ndarray], np.ndarray] = np.zeros_like
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+    def _k(self, grid_tail):
+        """The integrand at the left point of every tail cell."""
+        return np.asarray(self.k_fn(np.asarray(grid_tail.nodes)), dtype=float)[:-1]
+
+    def increments(self, ctx, grid_tail, gen, rows, mode):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        tail_t = np.asarray(grid_tail.nodes)
-        hvals = self.h_fn(tail_t)
-        z[:, 1:] *= self.k_fn(tail_t)[:-1]
-        z *= np.sqrt(grid_tail.dt)
-        np.cumsum(z, axis=1, out=z)
-        z += ctx.z_t + (hvals - hvals[0])
-        return z
+        z[:, 1:] *= self._k(grid_tail)
+        hvals = self.h_fn(np.asarray(grid_tail.nodes))
+        return z, hvals[1:] - hvals[0]
 
     def noise_scale(self, ctx, grid_tail):
-        left = np.asarray(grid_tail.nodes)[:-1]
-        k = np.abs(np.asarray(self.k_fn(left), dtype=float))
-        return k * np.sqrt(grid_tail.dt)
+        return np.abs(self._k(grid_tail)) * np.sqrt(grid_tail.dt)
 
     def checks(self):
         kv = self.k_fn(np.asarray(_VALIDATE_GRID.nodes))
@@ -299,17 +312,16 @@ class WienerIntegral(ModelSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class _VolPrice(ModelSpec):
-    """Log price with d log P = (mu - g^2/2) dt + g dW and volatility g.
+    """Log price with d log P = (mu - g^2/2) dt + g dW and volatility g:
+    K = g and H = int (mu - g^2/2) dt, at the left point of every cell.
 
     A family supplies `drivers(grid, rng)`, its frozen drivers with g at
     the nodes under "g", and for REDRAW either `_markov_vol(ctx, grid_tail,
     gen)`, one replication's g on the tail cells, or its own `_redraw`
     returning the price noise, as normals in columns 1: of the chunk's
-    output array, and g per replication. `_log_price` integrates the log
-    price for every continuation, the history being the FIXED one from
-    node 0. g is independent of W except in `Heston`, whose variance is
-    driven by a Brownian B with d<W, B> = rho dt, so that its price noise
-    mixes in B's.
+    output array, and g per replication. g is independent of W except in
+    `Heston`, whose variance is driven by a Brownian B with d<W, B> = rho
+    dt, so that its price noise mixes in B's.
     """
 
     mu: float = 0.0
@@ -320,40 +332,23 @@ class _VolPrice(ModelSpec):
         if not np.isfinite(self.mu):
             raise BadParams("mu must be finite")
 
-    def _log_price(self, z0, g, z, dt):
-        """Finish z, one row per replication whose columns 1: hold the
-        price noise xi (standard normals), as z0 + cumsum0((mu - g^2/2) dt)
-        + cumsum0(g * xi * sqrt(dt)) for the per-cell left-point volatility
-        g: a row, or one row per replication (overwritten)."""
-        x = z[:, 1:]
-        x *= g
-        drift = np.square(g, out=g if g.ndim > 1 else None)
-        drift *= 0.5
-        np.subtract(self.mu, drift, out=drift)
-        drift *= dt
-        z *= np.sqrt(dt)
-        np.cumsum(z, axis=1, out=z)
-        np.cumsum(drift, axis=-1, out=drift)
-        drift += z0
-        z[:, 0] += z0
-        x += drift
-        return z
-
     def _price_noise(self, x, ctx):
         """x, W's normals on the cells from the restart node of `ctx` on,
         made the price noise in place; x by default."""
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
-        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        self._price_noise(z[:, 1:], ctx)
-        g = ctx.frozen["g"][ctx.t_index : -1]
-        return self._log_price(ctx.z_t, g, z, grid_tail.dt)
-
-    def continuation(self, ctx, grid_tail, gen, rows):
-        if self.hk_mode is HkMode.FIXED:
-            return self.fixed_continuation(ctx, grid_tail, gen, rows)
-        z, g = self._redraw(ctx, grid_tail, gen, rows)
-        return self._log_price(ctx.z_t, g, z, grid_tail.dt)
+    def increments(self, ctx, grid_tail, gen, rows, mode):
+        if mode is HkMode.FIXED:
+            (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+            self._price_noise(z[:, 1:], ctx)
+            g = ctx.frozen["g"][ctx.t_index : -1]
+        else:
+            z, g = self._redraw(ctx, grid_tail, gen, rows)
+        z[:, 1:] *= g
+        drift = np.square(g, out=g if g.ndim > 1 else None)
+        drift *= 0.5
+        np.subtract(self.mu, drift, out=drift)
+        drift *= grid_tail.dt
+        return z, np.cumsum(drift, axis=-1, out=drift)
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # Markov volatility redrawn per replication (event-driven), drawn
@@ -507,7 +502,7 @@ class SdePrice(ModelSpec):
     mu_bar: float | None = None
     sigma_bar: float | None = None
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+    def continuation(self, ctx, grid_tail, gen, rows, mode=None):
         # log-price Euler paths, in place in the block of W increments,
         # each read before its node overwrites it
         (lz,) = _fresh_normals(gen, rows, grid_tail.n_steps)
@@ -550,12 +545,11 @@ class Doleans(ModelSpec):
     positive_state = True
     z0 = 1.0
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
-        tail_t = np.asarray(grid_tail.nodes)
+    def continuation(self, ctx, grid_tail, gen, rows, mode=None):
+        # z_t exp(W - t/2) since the restart node
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        z *= np.sqrt(grid_tail.dt)
-        np.cumsum(z, axis=1, out=z)
-        z -= 0.5 * (tail_t - tail_t[0])
+        tail_t = np.asarray(grid_tail.nodes)
+        z = _integrate(0.0, z, -0.5 * (tail_t[1:] - tail_t[0]), grid_tail.dt)
         np.exp(z, out=z)
         z *= ctx.z_t
         return z
@@ -580,7 +574,7 @@ class Bridge(ModelSpec):
     def drivers(self, grid, rng):
         return {"terminal": rng.child(2).generator().normal(0.0, np.sqrt(grid.span))}
 
-    def fixed_continuation(self, ctx, grid_tail, gen, rows):
+    def continuation(self, ctx, grid_tail, gen, rows, mode=None):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         return bridge_paths(grid_tail, ctx.z_t, ctx.frozen["terminal"], z)
 
@@ -607,14 +601,16 @@ def simulate(
     spec: ModelSpec, grid: TimeGrid, rng: RngStream, t_index: int = 0
 ) -> tuple[Path, ConditioningContext]:
     """Simulate the model on the grid and capture the conditioning context
-    at node t_index: the FIXED continuation of one row from node 0, given
-    `spec.drivers(grid, rng)` and W's normals from rng.child(0).generator()
-    (in REDRAW too: drivers just drawn, then frozen, give the joint law)."""
+    at node t_index: `spec.continuation` of one row from node 0 in FIXED
+    mode, given `spec.drivers(grid, rng)` and W's normals from
+    rng.child(0).generator() (in REDRAW too: drivers just drawn, then
+    frozen, give the joint law)."""
     if not 0 <= t_index < grid.n_steps:
         raise BadParams(f"t_index {t_index} not in [0, {grid.n_steps})")
     frozen = spec.drivers(grid, rng)
     start = ConditioningContext(spec.tag, grid, 0, np.array([spec.z0]), frozen)
-    z = spec.fixed_continuation(start, grid, rng.child(0).generator(), 1)[0]
+    z = spec.continuation(start, grid, rng.child(0).generator(), 1,
+                          HkMode.FIXED)[0]
     ctx = ConditioningContext(spec.tag, grid, t_index, z[: t_index + 1].copy(),
                               frozen)
     return Path(grid, z), ctx

@@ -235,6 +235,16 @@ class TestBatteryCommand:
         used = min(3, usable_cpus())
         assert f"on {used} worker(s), 3 requested" in out
 
+    def test_repeated_model_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "models = doleans,bridge,doleans\nn_steps = 128\n")
+        code, out, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "models" in err and "doleans" in err
+        assert out == ""
+        assert not list(tmp_path.glob("*_battery_*"))
+
     def test_plotdata_format_adds_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "models = doleans\nn_steps = 128\npilot_reps = 200\n")
         code, _, _ = run(

@@ -227,6 +227,33 @@ def _comte_renault_vol(spec, ctx, tail, gen):
     return np.exp(v[i0:-1])
 
 
+class TestMixedFbmOracle:
+    GRID = make_grid(0.0, 1.0, 256)
+
+    @pytest.mark.parametrize("restart", [0, 128])
+    @pytest.mark.parametrize("name", ["mixed_fbm_h025", "mixed_fbm_h075"])
+    def test_redraw_continuation(self, name, restart):
+        # z_t + cumsum0(sqrt(dt) xi_W) + w (A fbm_past + L xi_F - fbm_t),
+        # each row's xi_W and then its xi_F read in order from the block
+        spec = get_preset(name)  # REDRAW
+        _, ctx = simulate(spec, self.GRID, RngStream(23, 0), restart)
+        tail = tail_grid(self.GRID, restart)
+        a, factor = fbm_conditional_factors(spec.hurst, self.GRID, restart)
+        fbm = ctx.frozen["fbm"]
+        rng = RngStream(23, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 64)])
+        gen = rng.child(0).generator()
+        for row in block:
+            xi_w = gen.standard_normal(tail.n_steps)
+            xi_f = gen.standard_normal(tail.n_steps)
+            w = np.concatenate(([0.0], np.cumsum(np.sqrt(tail.dt) * xi_w)))
+            rise = np.concatenate(([0.0], a @ fbm[1 : restart + 1]
+                                   + factor @ xi_f - fbm[restart]))
+            expected = ctx.z_t + w + spec.fbm_weight * rise
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+
+
 class TestLogPriceOracle:
     # the shared log-price integrator against a plain per-cell loop
     GRID = make_grid(0.0, 1.0, 256)
@@ -351,23 +378,26 @@ class TestPathwiseSplit:
 
 
 class TestCellNoiseScale:
-    def test_pure_brownian(self):
-        spec = get_preset("brownian")
-        _, ctx = simulate(spec, GRID, RngStream(14, 0), 0)
-        s = cell_noise_scale(spec, ctx, GRID)
-        assert np.allclose(s, np.sqrt(GRID.dt))
+    # the presets with a deterministic integrand k, and k at the left points;
+    # every other preset gets no bridge debiasing
+    K = {"brownian": np.ones_like,
+         "wiener_affine": lambda s: 1.0 + s,
+         "exp_drift": lambda s: np.full_like(s, 0.2)}
 
-    def test_wiener_integrand_scale(self):
-        spec = get_preset("wiener_affine")
-        _, ctx = simulate(spec, GRID, RngStream(15, 0), 0)
-        s = cell_noise_scale(spec, ctx, GRID)
-        left = np.asarray(GRID.nodes)[:-1]
-        assert np.allclose(s, (1.0 + left) * np.sqrt(GRID.dt))
-
-    def test_unavailable_for_state_dependent_noise(self):
-        spec = get_preset("heston")
-        _, ctx = simulate(spec, GRID, RngStream(16, 0), 0)
-        assert cell_noise_scale(spec, ctx, GRID) is None
+    @pytest.mark.parametrize("t_index", [0, MID])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_scale_is_abs_k_sqrt_dt(self, name, t_index):
+        spec = get_preset(name)
+        _, ctx = simulate(spec, GRID, RngStream(14, 0), t_index)
+        tail = tail_grid(GRID, t_index)
+        s = cell_noise_scale(spec, ctx, tail)
+        if name not in self.K:
+            assert s is None
+            return
+        left = np.asarray(tail.nodes)[:-1]
+        assert s.shape == (tail.n_steps,)
+        assert np.allclose(s, np.abs(self.K[name](left)) * np.sqrt(tail.dt),
+                           rtol=0.0, atol=1e-15)
 
 
 class TestValidateSpec:
