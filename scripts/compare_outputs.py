@@ -7,7 +7,10 @@ Prints one line per file that differs or exists on one side only:
 - a `.csv`: the data rows and the columns that differ, with the largest
   relative difference of each numeric column, followed by one indented
   line per row whose `hits` or `classification` changed;
-- any other file: that its bytes differ.
+- a battery `.json`: each model whose verdict changed, then its rows as
+  for a `.csv`;
+- any other file, or a `.json` that differs elsewhere: that its bytes
+  differ.
 
 Identical directories print nothing. Rows are numbered from 1, after the
 header.
@@ -18,6 +21,7 @@ Usage:
 import argparse
 import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -57,6 +61,32 @@ def compare_bin(old: bytes, new: bytes) -> str:
 
 def compare_csv(old: str, new: str) -> list[str]:
     (head_a, *a), (head_b, *b) = (list(csv.reader(io.StringIO(t))) for t in (old, new))
+    return compare_rows(head_a, a, head_b, b)
+
+
+def compare_json(old: str, new: str) -> list[str]:
+    """A battery report: its verdicts, then its rows as `compare_rows` does."""
+    a, b = json.loads(old), json.loads(new)
+    va, vb = a["verdicts"], b["verdicts"]
+    changed = [f"{m} {va.get(m)} -> {vb.get(m)}"
+               for m in sorted(va.keys() | vb.keys()) if va.get(m) != vb.get(m)]
+    out = [f"verdicts {', '.join(changed)}"] if changed else []
+    table_a, table_b = _json_table(a), _json_table(b)
+    if table_a != table_b:
+        out += compare_rows(*table_a, *table_b)
+    return out or ["bytes differ"]
+
+
+def _json_table(report: dict) -> tuple[list[str], list[list[str]]]:
+    """A battery report's rows as text cells, under their keys."""
+    rows = report["rows"]
+    head = list(rows[0]) if rows else []
+    return head, [[str(v) for v in row.values()] for row in rows]
+
+
+def compare_rows(head_a: list[str], a: list[list[str]],
+                 head_b: list[str], b: list[list[str]]) -> list[str]:
+    """Report lines for two tables of text cells, each under its header."""
     if head_a != head_b:
         return [f"header {','.join(head_a)} vs {','.join(head_b)}"]
     if len(a) != len(b):
@@ -100,12 +130,15 @@ def compare_dirs(parent: Path, change: Path) -> list[str]:
         if old == new:
             continue
         if name.endswith(".bin"):
-            out.append(f"{name}: {compare_bin(old, new)}")
+            lines = [compare_bin(old, new)]
         elif name.endswith(".csv"):
-            first, *more = compare_csv(old.decode(), new.decode())
-            out += [f"{name}: {first}", *more]
+            lines = compare_csv(old.decode(), new.decode())
+        elif name.endswith(".json"):
+            lines = compare_json(old.decode(), new.decode())
         else:
-            out.append(f"{name}: bytes differ")
+            lines = ["bytes differ"]
+        out += [line if line.startswith(" ") else f"{name}: {line}"
+                for line in lines]
     return out
 
 

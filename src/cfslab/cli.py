@@ -3,13 +3,17 @@
 Three subcommands: `models` lists the preset catalog, `smallball` runs one
 conditional tube-probability estimate, `battery` runs the full sweep.
 Configuration comes from an optional plain-text key=value file plus flags;
-precedence is flag > file > default. Exit codes: 0 success, 2 configuration
-error, 3 numerical error.
+precedence is flag > file > default. `KEYS` holds, for each command, every
+key it reads with its default; the battery's template keys are the fields
+of `suite.BatteryTemplate`, so their defaults are written only there. A
+value is parsed by the type of its key's default, and a key the command
+does not read is a configuration error. Exit codes: 0 success, 2
+configuration error, 3 numerical error.
 """
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 import time
@@ -44,34 +48,33 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS: dict[str, object] = {
-    "model": "brownian",
-    "models": ",".join(catalog.DEFAULT_BATTERY),
-    "seed": None,  # required; no default on purpose
-    "reps": 100_000,
-    "workers": 1,
-    "out": ".",
-    "format": "csv",
-    "t_end": 1.0,
-    "n_steps": 2048,
-    "t_frac": 0.0,
-    "t_fracs": "0.0,0.5",
-    "style": "flat",
-    "amplitude": 0.0,
-    "epsilon": 1.0,
-    "amp_scale": 0.4,
-    "eps_scales": "0.75,1.0",
-    "n_segments": 4,
-    "pilot_reps": 1000,
+_TEMPLATE = {f.name: f.default for f in dataclasses.fields(BatteryTemplate)}
+_COMMON = {"seed": None, "reps": 100_000, "workers": 1, "out": "."}
+# seed is required; every other key's default also gives its type
+KEYS: dict[str, dict[str, object]] = {
+    "smallball": {
+        **_COMMON,
+        "model": "brownian",
+        **{k: _TEMPLATE[k] for k in ("t_end", "n_steps", "n_segments")},
+        "t_frac": 0.0,
+        "style": TargetStyle.FLAT,
+        "amplitude": 0.0,
+        "epsilon": 1.0,
+    },
+    "battery": {
+        **_COMMON,
+        "format": ReportFormat.CSV,
+        "models": ",".join(catalog.DEFAULT_BATTERY),
+        **_TEMPLATE,
+    },
 }
 
-_INT_KEYS = {"seed", "reps", "workers", "n_steps", "n_segments", "pilot_reps"}
-_FLOAT_KEYS = {"t_end", "t_frac", "amplitude", "epsilon", "amp_scale"}
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _parse_config_file(path: str, command: str) -> dict[str, str]:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -81,61 +84,58 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+            if key not in KEYS[command]:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key {key!r} for {command}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already "
+                                  f"set on line {lines[key]}")
+            values[key], lines[key] = value, lineno
     return values
 
 
-def _finite(value: float, key: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
-    return value
-
-
-def _coerce(key: str, value: object):
-    if isinstance(value, str):
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                value = float(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
-    if key in _FLOAT_KEYS:
-        return _finite(value, key)
+def _parse(key: str, text: str, default: object) -> object:
+    """One file value or flag, parsed by the type of its key's default: an
+    int, a finite float, a non-empty comma list of finite floats (for a
+    tuple), an enum member or a string. `seed`, with no default, is an int."""
+    kind = int if default is None else type(default)
+    try:
+        if kind is tuple:
+            value = tuple(float(x) for x in text.split(",") if x.strip())
+        else:
+            value = kind(text)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: cannot parse {text!r}") from None
+    if kind is tuple and not value:
+        raise ConfigError(f"key {key!r}: empty list")
+    if kind in (float, tuple) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"key {key!r}: must be finite, got {text!r}")
     return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    """Merge defaults, config file, and flags (flag wins)."""
-    config = dict(_DEFAULTS)
-    if args.config is not None:
-        from_file = _parse_config_file(args.config)
-        if args.command == "smallball" and "format" in from_file:
-            # as with the flag: smallball writes one CSV row, nothing else
-            raise ConfigError("key 'format': not a smallball key")
-        config.update(from_file)
-    for key in ("seed", "reps", "workers", "out", "format",
-                "model", "epsilon", "t_frac"):
+    """Merge the command's defaults, config file, and flags (flag wins)."""
+    defaults = KEYS[args.command]
+    given = ({} if args.config is None
+             else _parse_config_file(args.config, args.command))
+    for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
-            config[key] = flag
-    config = {k: _coerce(k, v) for k, v in config.items()}
+            given[key] = flag
+    config = dict(defaults)
+    config.update((k, _parse(k, v, defaults[k])) for k, v in given.items())
     if config["seed"] is None:
         raise ConfigError("missing required key 'seed' (flag --seed or config)")
-    if not 0 <= int(config["seed"]) < 2 ** 64:
+    if not 0 <= config["seed"] < 2 ** 64:
         raise ConfigError("key 'seed': must fit in u64")
-    if config["format"] not in ("csv", "json", "plotdata"):
-        raise ConfigError(f"key 'format': unknown format {config['format']!r}")
-    if not os.path.isdir(str(config["out"])):
+    if not os.path.isdir(config["out"]):
         raise ConfigError(f"key 'out': not a directory: {config['out']}")
     return config
 
 
 def _out_path(config, model_part: str, command: str, ext: str) -> str:
     name = f"{model_part}_{command}_{config['seed']}.{ext}"
-    return os.path.join(str(config["out"]), name)
+    return os.path.join(config["out"], name)
 
 
 def cmd_models(_config) -> int:
@@ -147,30 +147,25 @@ def cmd_models(_config) -> int:
 
 
 def cmd_smallball(config) -> int:
-    spec = catalog.get_preset(str(config["model"]))
-    try:
-        style = TargetStyle(str(config["style"]))
-    except ValueError:
-        raise ConfigError(f"key 'style': unknown style {config['style']!r}") from None
-    grid = make_grid(0.0, float(config["t_end"]), int(config["n_steps"]))
-    t_index = int(round(float(config["t_frac"]) * grid.n_steps))
-    rng = RngStream(int(config["seed"]), 0)
+    spec = catalog.get_preset(config["model"])
+    grid = make_grid(0.0, config["t_end"], config["n_steps"])
+    t_index = int(round(config["t_frac"] * grid.n_steps))
+    rng = RngStream(config["seed"], 0)
     _, ctx = simulate(spec, grid, rng.child(0), t_index)
-    target = single_target(tail_grid(grid, t_index), style,
-                           float(config["amplitude"]),
-                           int(config["n_segments"]))
-    query = SmallBallQuery(t_index, target, float(config["epsilon"]))
-    reps, workers = int(config["reps"]), int(config["workers"])
+    target = single_target(tail_grid(grid, t_index), config["style"],
+                           config["amplitude"], config["n_segments"])
+    query = SmallBallQuery(t_index, target, config["epsilon"])
+    reps, workers = config["reps"], config["workers"]
     t0 = time.perf_counter()
     est = estimate_smallball(spec, ctx, query, reps, rng.child(1), workers)
     wall = time.perf_counter() - t0
     threads = 0 if est.reason is not None else chunk_threads(workers, reps)
-    row = BatteryRow(spec.name, float(config["t_frac"]), style.value,
-                     float(config["amplitude"]), float(config["epsilon"]), est)
+    row = BatteryRow(spec.name, config["t_frac"], config["style"].value,
+                     config["amplitude"], config["epsilon"], est)
     path = _out_path(config, spec.name, "smallball", "csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.write(",".join(row_fields(row, int(config["seed"]))) + "\n")
+        fh.write(",".join(row_fields(row, config["seed"])) + "\n")
     print(f"{spec.name}: p_hat={est.p_hat:.6g} "
           f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}] "
           f"classification={est.classification.value}")
@@ -180,35 +175,17 @@ def cmd_smallball(config) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str, key: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(x) for x in str(text).split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {text!r}") from None
-    if not vals:
-        raise ConfigError(f"key {key!r}: empty list")
-    return tuple(_finite(v, key) for v in vals)
-
-
 def cmd_battery(config) -> int:
-    names = [x.strip() for x in str(config["models"]).split(",") if x.strip()]
+    names = [x.strip() for x in config["models"].split(",") if x.strip()]
     if not names:
         raise ConfigError("key 'models': empty list")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"key 'models': repeated {', '.join(repeated)}")
     models = [catalog.get_preset(n) for n in names]
-    template = BatteryTemplate(
-        t_end=float(config["t_end"]),
-        n_steps=int(config["n_steps"]),
-        t_fracs=_parse_floats(str(config["t_fracs"]), "t_fracs"),
-        amp_scale=float(config["amp_scale"]),
-        eps_scales=_parse_floats(str(config["eps_scales"]), "eps_scales"),
-        n_segments=int(config["n_segments"]),
-        pilot_reps=int(config["pilot_reps"]),
-    )
-    report = run_battery(models, template, int(config["reps"]),
-                         int(config["seed"]), workers=int(config["workers"]))
+    template = BatteryTemplate(**{k: config[k] for k in _TEMPLATE})
+    report = run_battery(models, template, config["reps"], config["seed"],
+                         workers=config["workers"])
     model_part = names[0] if len(names) == 1 else "multi"
     written = []
     for fmt, ext in ((ReportFormat.CSV, "csv"), (ReportFormat.JSON, "json")):
@@ -216,7 +193,7 @@ def cmd_battery(config) -> int:
         with open(path, "wb") as fh:
             fh.write(render_report(report, fmt))
         written.append(path)
-    if config["format"] == "plotdata":
+    if config["format"] is ReportFormat.PLOTDATA:
         path = _out_path(config, model_part, "battery", "plotdata")
         with open(path, "wb") as fh:
             fh.write(render_report(report, ReportFormat.PLOTDATA))
@@ -243,20 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="master seed (u64)")
-        p.add_argument("--reps", type=int, help="Monte Carlo replications")
-        p.add_argument("--workers", type=int, help=(
+        p.add_argument("--seed", help="master seed (u64)")
+        p.add_argument("--reps", help="Monte Carlo replications")
+        p.add_argument("--workers", help=(
             "threads for the replication chunks, at most the usable CPUs "
             "and the chunks" if name == "smallball"
             else "worker processes, at most the usable CPUs and the cells"))
         p.add_argument("--out", help="output directory")
         if name == "battery":
-            p.add_argument("--format", choices=["csv", "json", "plotdata"],
+            p.add_argument("--format", choices=[f.value for f in ReportFormat],
                            help="extra report format")
         else:
             p.add_argument("--model", help="preset name (see `models`)")
-            p.add_argument("--epsilon", type=float, help="tube radius")
-            p.add_argument("--t-frac", dest="t_frac", type=float,
+            p.add_argument("--epsilon", help="tube radius")
+            p.add_argument("--t-frac", dest="t_frac",
                            help="restart node as a fraction of the horizon")
     return parser
 

@@ -118,6 +118,11 @@ class BatteryTemplate:
         # no rows would make every verdict vacuously POSITIVE-ALL
         if not self.t_fracs or not self.eps_scales:
             raise BadParams("t_fracs and eps_scales must each be non-empty")
+        # a repeat would label two cells alike, or write every row twice
+        for name in ("t_fracs", "eps_scales"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise BadParams(f"{name} has a repeated value: {values}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Command-line interface: config precedence, exit codes, artifacts."""
+import dataclasses
 import json
 import os
 
 import pytest
 
+from cfslab import cli
 from cfslab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from cfslab.core import usable_cpus
 from cfslab.models import FAMILIES
+from cfslab.suite import BatteryTemplate
 
 
 def run(argv, capsys):
@@ -130,16 +133,6 @@ class TestSmallballCommand:
         assert "--format" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_format_config_key_rejected(self, tmp_path, capsys):
-        # the config-file key is refused like the flag
-        cfg = _cfg(tmp_path, "n_steps = 128\nformat = json\n")
-        code, _, err = run(
-            ["smallball", "--config", cfg, "--seed", "1", "--reps", "1000",
-             "--out", str(tmp_path)], capsys)
-        assert code == EXIT_CONFIG
-        assert "format" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
-
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "model = doleans\nn_steps = 128\nreps = 500\n")
         code, out, _ = run(
@@ -252,6 +245,72 @@ class TestBatteryCommand:
              "--out", str(tmp_path), "--format", "plotdata"], capsys)
         assert code == EXIT_OK
         assert (tmp_path / "doleans_battery_3.plotdata").exists()
+
+
+class TestConfigKeys:
+    # a value for each key that only one command reads
+    OTHER = {"models": "brownian", "format": "json", "t_fracs": "0.5",
+             "amp_scale": "0.3", "eps_scales": "0.5", "pilot_reps": "10",
+             "model": "doleans", "t_frac": "0.5", "style": "zigzag",
+             "amplitude": "0.3", "epsilon": "0.3"}
+    BASE = {"smallball": "n_steps = 128\n",
+            "battery": "models = doleans\nn_steps = 128\npilot_reps = 200\n"}
+
+    @pytest.mark.parametrize("command, key", [
+        ("smallball", key) for key in ("models", "format", "t_fracs",
+                                       "amp_scale", "eps_scales", "pilot_reps")
+    ] + [
+        ("battery", key) for key in ("model", "t_frac", "style", "amplitude",
+                                     "epsilon")
+    ])
+    def test_other_commands_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = _cfg(tmp_path, f"{self.BASE[command]}{key} = {self.OTHER[key]}\n")
+        code, out, err = run(
+            [command, "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert repr(key) in err and command in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_steps = 128\nreps = 1000\nn_steps = 64\n")
+        code, _, err = run(
+            ["smallball", "--config", cfg, "--seed", "1",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert f"{cfg}:3: key 'n_steps' already set on line 1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("field", dataclasses.fields(BatteryTemplate),
+                             ids=lambda f: f.name)
+    def test_template_field_is_a_battery_key(self, tmp_path, monkeypatch,
+                                             field):
+        # a field added to the template is a battery key with no CLI edit
+        if isinstance(field.default, tuple):
+            value = field.default[1:]
+            text = ",".join(map(str, value))
+        else:
+            value = (field.default + 1 if isinstance(field.default, int)
+                     else field.default / 2)
+            text = str(value)
+        seen = []
+
+        def stop(models, template, reps, seed, workers):
+            seen.append(template)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_battery", stop)
+        cfg = _cfg(tmp_path, f"models = doleans\n{field.name} = {text}\n")
+        with pytest.raises(_Stop):
+            main(["battery", "--config", cfg, "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert seen == [BatteryTemplate(**{field.name: value})]
+        assert seen[0] != BatteryTemplate()
+
+
+class _Stop(Exception):
+    pass
 
 
 def _cfg(tmp_path, text):

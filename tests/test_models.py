@@ -254,6 +254,31 @@ class TestMixedFbmOracle:
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 
 
+class TestWienerIntegralOracle:
+    GRID = make_grid(0.0, 1.0, 256)
+
+    @pytest.mark.parametrize("restart", [0, 128])
+    @pytest.mark.parametrize("name", ["wiener_affine", "exp_drift"])
+    def test_continuation(self, name, restart):
+        # z_t + cumsum0(k(t_i) sqrt(dt) xi_i) + h(t) - h(t_0), with k at the
+        # left point of every cell and each row's xi read in order from the
+        # block
+        spec = get_preset(name)
+        _, ctx = simulate(spec, self.GRID, RngStream(24, 0), restart)
+        tail = tail_grid(self.GRID, restart)
+        t = np.asarray(tail.nodes)
+        k, h = spec.k_fn(t)[:-1], spec.h_fn(t)
+        rng = RngStream(24, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 64)])
+        gen = rng.child(0).generator()
+        for row in block:
+            xi = gen.standard_normal(tail.n_steps)
+            w = np.concatenate(([0.0], np.cumsum(k * np.sqrt(tail.dt) * xi)))
+            expected = ctx.z_t + w + h - h[0]
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+
+
 class TestLogPriceOracle:
     # the shared log-price integrator against a plain per-cell loop
     GRID = make_grid(0.0, 1.0, 256)

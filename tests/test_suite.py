@@ -79,12 +79,18 @@ class TestBattery:
         with pytest.raises(BadParams):
             run_battery([get_preset("brownian")], SMALL, 10, 0)
 
-    @pytest.mark.parametrize("field", ["t_fracs", "eps_scales"])
-    def test_empty_restarts_or_radii_rejected(self, field):
-        # with no rows, doleans would get the vacuous verdict POSITIVE-ALL
+    @pytest.mark.parametrize("field, values", [
+        pytest.param("t_fracs", (), id="t_fracs"),
+        pytest.param("eps_scales", (), id="eps_scales"),
+        pytest.param("t_fracs", (0.5, 0.5), id="t_fracs-repeated"),
+        pytest.param("eps_scales", (1.0, 1.0), id="eps_scales-repeated"),
+    ])
+    def test_empty_restarts_or_radii_rejected(self, field, values):
+        # with no rows, doleans would get the vacuous verdict POSITIVE-ALL;
+        # a repeat labels two cells alike, or writes every row twice
         with pytest.raises(BadParams, match=field):
-            run_battery([get_preset("doleans")], BatteryTemplate(**{field: ()}),
-                        1000, 1)
+            run_battery([get_preset("doleans")],
+                        BatteryTemplate(**{field: values}), 1000, 1)
 
     def test_row_accounting(self):
         rep = run_battery([get_preset("brownian")], SMALL, 1000, 1)
