@@ -248,28 +248,32 @@ class TestBatteryCommand:
 
 
 class TestConfigKeys:
-    # a value for each key that only one command reads
-    OTHER = {"models": "brownian", "format": "json", "t_fracs": "0.5",
-             "amp_scale": "0.3", "eps_scales": "0.5", "pilot_reps": "10",
-             "model": "doleans", "t_frac": "0.5", "style": "zigzag",
-             "amplitude": "0.3", "epsilon": "0.3"}
+    # each key that only the other command reads, with a value it would take
+    OTHER = {
+        ("smallball", "models"): "brownian",
+        ("smallball", "format"): "json",
+        ("smallball", "t_fracs"): "0.5",
+        ("smallball", "amp_scale"): "0.3",
+        ("smallball", "eps_scales"): "0.5",
+        ("smallball", "pilot_reps"): "10",
+        ("battery", "model"): "doleans",
+        ("battery", "t_frac"): "0.5",
+        ("battery", "style"): "zigzag",
+        ("battery", "amplitude"): "0.3",
+        ("battery", "epsilon"): "0.3",
+    }
     BASE = {"smallball": "n_steps = 128\n",
             "battery": "models = doleans\nn_steps = 128\npilot_reps = 200\n"}
 
-    @pytest.mark.parametrize("command, key", [
-        ("smallball", key) for key in ("models", "format", "t_fracs",
-                                       "amp_scale", "eps_scales", "pilot_reps")
-    ] + [
-        ("battery", key) for key in ("model", "t_frac", "style", "amplitude",
-                                     "epsilon")
-    ])
+    @pytest.mark.parametrize("command, key", OTHER)
     def test_other_commands_key_rejected(self, tmp_path, capsys, command, key):
-        cfg = _cfg(tmp_path, f"{self.BASE[command]}{key} = {self.OTHER[key]}\n")
+        value = self.OTHER[command, key]
+        cfg = _cfg(tmp_path, f"{self.BASE[command]}{key} = {value}\n")
         code, out, err = run(
             [command, "--config", cfg, "--seed", "1", "--reps", "1000",
              "--out", str(tmp_path)], capsys)
         assert code == EXIT_CONFIG
-        assert repr(key) in err and command in err
+        assert f"unknown key {key!r} for {command}" in err
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
