@@ -1,10 +1,9 @@
-"""Exact-in-law Gaussian path generators.
-
-Brownian motion (increment summation and midpoint refinement), fractional
-Brownian motion via the Cholesky factor of its grid covariance (built in
-O(n^2) by the Schur algorithm on the Toeplitz covariance of its
-increments), fractional Ornstein-Uhlenbeck by pathwise integration by
-parts, and Brownian bridges.
+"""Exact-in-law Gaussian path generators, in numpy alone: fractional
+Brownian motion from the Cholesky factor of its grid covariance (built in
+O(n^2) by the Schur algorithm on the Toeplitz covariance of its increments)
+and its exact conditional continuation from blocks of that factor,
+fractional Ornstein-Uhlenbeck by pathwise integration by parts, and
+Brownian bridges.
 """
 from __future__ import annotations
 
@@ -13,8 +12,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
 
 from .core import (
     BadParams,
@@ -52,14 +49,6 @@ class FouSpec:
         if not np.all(np.isfinite((self.alpha, self.sigma, self.v0))) \
                 or self.alpha <= 0 or self.sigma < 0:
             raise BadParams("need finite alpha > 0, sigma >= 0 and v0")
-
-
-def gen_brownian(grid: TimeGrid, rng: RngStream) -> Path:
-    """Standard Brownian motion started at 0 at the first grid node."""
-    g = rng.generator()
-    inc = g.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return Path(grid, values)
 
 
 def _fgn_autocovariance(hurst: float, grid: TimeGrid) -> np.ndarray:
@@ -145,46 +134,56 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
 def fbm_conditional_factors(
     hurst: float, grid: TimeGrid, t_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Operators for sampling fBm nodes after t_index given the nodes up to it.
-
-    Returns (A, L) such that, with p the realized values at nodes 1..t_index,
-    the future nodes are A @ p + L @ xi with xi standard normal. Both are
-    read off the blocks of the cached Cholesky factor [[L11, 0], [L21, L22]]
-    of the whole history: A = L21 L11^-1 = R_fp R_pp^-1, and L is a
-    Fortran-ordered copy of L22, whose L22 L22^T is the Schur complement
-    R_ff - R_fp R_pp^-1 R_pf. The history's factor is the only
-    factorisation, so the Schur complement is never factored or repaired
-    (no eigendecomposition) and L is always lower triangular. At
-    t_index = 0 this is unconditional sampling.
+    """Blocks of the cached Cholesky factor [[L11, 0], [L21, L22]] of the
+    whole history, for sampling the nodes after t_index given those up to
+    it: read-only views of its first t_index columns C = [[L11], [L21]] and
+    of L = L22. With p the realized nodes 1..t_index, the future nodes are
+    `fbm_conditional_mean(C, p)` + L @ xi for standard normal xi, since
+    L21 L11^-1 = R_fp R_pp^-1 and L22 L22^T = R_ff - R_fp R_pp^-1 R_pf: the
+    Schur complement is never factored, and L is lower triangular. Chunk
+    threads that miss together wait for one build; `cache_info` counts them.
     """
     factor = _fbm_cholesky(hurst, grid)
-    p = t_index
-    a = solve_triangular(factor[:p, :p], factor[p:, :p].T, trans="T",
-                         lower=True).T
-    a.setflags(write=False)
-    ell = np.asfortranarray(factor[p:, p:])
-    ell.setflags(write=False)
-    return a, ell
+    return factor[:, :t_index], factor[t_index:, t_index:]
+
+
+def fbm_conditional_mean(head: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """L21 (L11^-1 p) for the columns head = [[L11], [L21]] of
+    `fbm_conditional_factors` and the realized past p, with L11^-1 p by
+    forward substitution over diagonal blocks of 128 rows."""
+    p = head.shape[1]
+    y = np.empty(p)
+    for i in range(0, p, 128):
+        b = slice(i, min(i + 128, p))
+        y[b] = np.linalg.solve(head[b, b], past[b] - head[b, :i] @ y[:i])
+    return head[p:] @ y
 
 
 def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """xi @ factor.T for a lower triangular factor, by the BLAS triangular
-    multiply (half the flops of a general matmul), returned C-contiguous.
-
-    Computed as (factor @ xi.T).T, so a Fortran-ordered factor (every
-    factor of ``fbm_conditional_factors``) reaches BLAS without a copy, and
-    a C-contiguous `xi` is overwritten with the product (any other is
-    copied first).
-    """
-    return dtrmm(1.0, factor, xi.T, side=0, lower=1, overwrite_b=1).T
+    """xi @ factor.T for a lower triangular factor, in place in a
+    C-contiguous `xi` (any other is copied first). Column j reads columns
+    0..j of `xi` only, so each quarter of the rows is overwritten by 8
+    column panels from the right, each a `matmul` into one buffer of 1/32
+    of `xi`."""
+    xi = np.ascontiguousarray(xi)
+    rows, m = xi.shape
+    step, width = -(-rows // 4), -(-m // 8)
+    buf = np.empty(step * width)
+    for r in range(0, rows, step):
+        part = xi[r : r + step]
+        for hi in range(m, 0, -width):
+            lo = max(hi - width, 0)
+            out = buf[: len(part) * (hi - lo)].reshape(len(part), hi - lo)
+            np.matmul(part[:, :hi], factor[lo:hi, :hi].T, out=out)
+            part[:, lo:hi] = out
+    return xi
 
 
 def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:
     """Fractional Brownian motion, exact on the grid (Cholesky sampling)."""
     factor = _fbm_cholesky(spec.hurst, grid)
     z = rng.generator().standard_normal(grid.n_steps)
-    values = np.concatenate(([0.0], factor @ z))
-    return Path(grid, values)
+    return Path(grid, np.concatenate(([0.0], factor @ z)))
 
 
 def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray,

@@ -34,6 +34,7 @@ from .gaussian import (
     FouSpec,
     bridge_paths,
     fbm_conditional_factors,
+    fbm_conditional_mean,
     fou_from_fbm,
     fou_quadrature,
     lower_tri_matmul,
@@ -164,9 +165,9 @@ def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.nda
     C-contiguous standard normals `xi`, from its exact conditional law
     given the frozen history; returned in `xi`."""
     i0 = ctx.t_index
-    a, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
+    head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
     tails = lower_tri_matmul(xi, factor)
-    tails += a @ ctx.frozen["fbm"][1 : i0 + 1]
+    tails += fbm_conditional_mean(head, ctx.frozen["fbm"][1 : i0 + 1])
     return tails
 
 

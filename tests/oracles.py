@@ -18,10 +18,18 @@ class NotPowerOfTwo(CfsError):
     pass
 
 
+def gen_brownian(grid, rng) -> Path:
+    """Standard Brownian motion started at 0 at the first grid node."""
+    g = rng.generator()
+    inc = g.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+    values = np.concatenate(([0.0], np.cumsum(inc)))
+    return Path(grid, values)
+
+
 def gen_brownian_alt(grid, rng) -> Path:
     """Brownian motion by midpoint (Levy) refinement.
 
-    Same law as `gaussian.gen_brownian` but an algorithmically distinct
+    Same law as `gen_brownian` but an algorithmically distinct
     construction: the terminal value is drawn first and interior nodes are
     filled in by conditional bisection. n_steps must be a power of two.
     """

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import (
     fbm_covariance,
+    gen_brownian,
     gen_brownian_alt,
     ito_integral,
     mc_tube_probability,
@@ -23,11 +24,7 @@ from cfslab.core import (
     constant_path,
     make_grid,
 )
-from cfslab.gaussian import (
-    FbmSpec,
-    _fbm_cholesky,
-    gen_brownian,
-)
+from cfslab.gaussian import FbmSpec, _fbm_cholesky
 from cfslab.integrate import rs_parts_form
 from cfslab.jumps import (
     BnsSpec,

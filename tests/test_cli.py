@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -311,6 +313,30 @@ class TestConfigKeys:
                   "--out", str(tmp_path)])
         assert seen == [BatteryTemplate(**{field.name: value})]
         assert seen[0] != BatteryTemplate()
+
+
+class TestImports:
+    def test_fbm_battery_imports_numpy_alone(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports count: the CLI
+        # and a REDRAW fBm battery (history factor, conditional mean and
+        # triangular multiply) load no scipy module
+        cfg = _cfg(tmp_path, "models = mixed_fbm_h025\nn_steps = 64\n"
+                             "pilot_reps = 100\n")
+        code = ("import sys\n"
+                "import cfslab.cli\n"
+                "rc = cfslab.cli.main(sys.argv[1:])\n"
+                "print(rc, sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "battery", "--config", cfg,
+             "--seed", "3", "--reps", "1000", "--workers", "1",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+        assert (tmp_path / "mixed_fbm_h025_battery_3.csv").exists()
 
 
 class _Stop(Exception):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NotPowerOfTwo, fbm_covariance, gen_brownian_alt
+from oracles import NotPowerOfTwo, fbm_covariance, gen_brownian, gen_brownian_alt
 from scipy.linalg import toeplitz
 
 from cfslab.core import (
@@ -23,9 +23,9 @@ from cfslab.gaussian import (
     bridge_paths,
     bridge_steps,
     fbm_conditional_factors,
+    fbm_conditional_mean,
     fou_from_fbm,
     fou_quadrature,
-    gen_brownian,
     gen_fbm,
     lower_tri_matmul,
 )
@@ -108,39 +108,69 @@ class TestFbm:
         assert c == pytest.approx(-0.29289, abs=0.06)
 
     def test_conditional_factors_match_history(self):
-        """A @ p + L @ xi has the right cross-covariance with the history."""
+        """C and L reproduce R_fp R_pp^-1 and the Schur complement."""
         grid = make_grid(0.0, 1.0, 16)
         hurst = 0.75
-        a, ell = fbm_conditional_factors(hurst, grid, 8)
+        head, ell = fbm_conditional_factors(hurst, grid, 8)
         cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-        # conditional mean operator reproduces R_fp R_pp^{-1}
+        # conditional mean operator L21 L11^-1 reproduces R_fp R_pp^{-1}
+        a = np.linalg.solve(head[:8].T, head[8:].T).T
         assert np.allclose(a @ cov[:8, :8], cov[8:, :8], atol=1e-10)
         # Schur complement is recovered by the factor
         schur = cov[8:, 8:] - a @ cov[8:, :8].T
         assert np.allclose(ell @ ell.T, schur, atol=1e-8)
 
+    @pytest.mark.parametrize("hurst", [0.25, 0.75])
+    @pytest.mark.parametrize("t_index", [1, 8, 15])
+    def test_conditional_mean_is_regression_on_past(self, hurst, t_index):
+        """The mean of the future nodes given the past p is R_fp R_pp^-1 p,
+        from the oracle covariance."""
+        grid = make_grid(0.0, 1.0, 16)
+        p = t_index
+        head, _ = fbm_conditional_factors(hurst, grid, p)
+        cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        past = gen_fbm(grid, FbmSpec(hurst), RngStream(4, p)).values[1 : p + 1]
+        expected = cov[p:, :p] @ np.linalg.solve(cov[:p, :p], past)
+        assert np.allclose(fbm_conditional_mean(head, past), expected,
+                           rtol=0.0, atol=1e-10)
+
+    def test_conditional_mean_crosses_solve_blocks(self):
+        # a past longer than one 128-row diagonal block of the substitution
+        grid = make_grid(0.0, 1.0, 512)
+        head, _ = fbm_conditional_factors(0.75, grid, 300)
+        past = RngStream(4, 1).generator().standard_normal(300)
+        expected = head[300:] @ np.linalg.solve(head[:300], past)
+        assert np.allclose(fbm_conditional_mean(head, past), expected,
+                           rtol=0.0, atol=1e-10)
+
     def test_unconditional_factors(self):
         grid = make_grid(0.0, 1.0, 8)
-        a, ell = fbm_conditional_factors(0.5, grid, 0)
-        assert a.shape == (8, 0)
+        head, ell = fbm_conditional_factors(0.5, grid, 0)
+        assert head.shape == (8, 0)
+        assert np.array_equal(fbm_conditional_mean(head, np.empty(0)),
+                              np.zeros(8))
         cov = fbm_covariance(0.5, np.asarray(grid.nodes[1:]))
         assert np.allclose(ell @ ell.T, cov, atol=1e-10)
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     @pytest.mark.parametrize("t_index", [1, 128, 255])
     def test_factors_are_blocks_of_history_cholesky(self, hurst, t_index):
-        """(A, L) come from the blocks of the one cached history factor and
-        still give the exact conditional law."""
+        """(C, L) are blocks of the one cached history factor and still
+        give the exact conditional law: L21 L11^-1 = R_fp R_pp^-1."""
         grid = make_grid(0.0, 1.0, 256)
         p = t_index
-        a, ell = fbm_conditional_factors(hurst, grid, p)
+        head, ell = fbm_conditional_factors(hurst, grid, p)
+        factor = _fbm_cholesky(hurst, grid)
+        assert np.shares_memory(head, factor) and np.shares_memory(ell, factor)
+        assert np.array_equal(head, factor[:, :p])
+        assert np.array_equal(ell, factor[p:, p:])
         cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
         r_pp, r_fp, r_ff = cov[:p, :p], cov[p:, :p], cov[p:, p:]
+        a = np.linalg.solve(head[:p].T, head[p:].T).T
         assert np.allclose(a @ r_pp, r_fp, rtol=0.0, atol=1e-10)
         schur = r_ff - r_fp @ np.linalg.solve(r_pp, r_fp.T)
         assert np.allclose(ell @ ell.T, schur, rtol=0.0, atol=1e-10)
         assert not np.any(np.triu(ell, 1))
-        assert np.array_equal(ell, _fbm_cholesky(hurst, grid)[p:, p:])
         xi = RngStream(3, 0).generator().standard_normal((5, 256 - p))
         assert np.allclose(lower_tri_matmul(xi.copy(), ell), xi @ ell.T,
                            rtol=0.0, atol=1e-12)
@@ -200,11 +230,22 @@ class TestFbmFactor:
         with pytest.raises(BadParams):
             _fbm_cholesky(0.7, make_grid(0.5, 1.0, 8))
 
+    @pytest.mark.parametrize("m", [1, 7, 9, 64, 1024])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 8])
+    def test_lower_tri_matmul_equals_dense_product(self, m, rows):
+        # across the edges of its row quarters and its 8 column panels
+        gen = RngStream(5, m).generator()
+        factor = np.tril(gen.standard_normal((m, m)))
+        xi = gen.standard_normal((rows, m))
+        expected = xi @ factor.T
+        out = lower_tri_matmul(xi, factor)
+        assert out.flags.c_contiguous and np.shares_memory(out, xi)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12 * np.sqrt(m))
+
     @pytest.mark.parametrize("t_index", [0, 128])
     def test_lower_tri_matmul_is_c_contiguous(self, t_index):
         grid = make_grid(0.0, 1.0, 256)
         _, ell = fbm_conditional_factors(0.7, grid, t_index)
-        assert ell.flags.f_contiguous
         m = 256 - t_index
         # a C-contiguous xi, as models._fresh_normals draws each further
         # source, receives the product; a column block of a wider draw is

@@ -1,11 +1,10 @@
 """Discrete stochastic and pathwise integrals, clocks, and exponentials."""
 import numpy as np
 import pytest
-from oracles import ito_integral
+from oracles import gen_brownian, ito_integral
 
 from cfslab.catalog import get_preset
 from cfslab.core import GridMismatch, Path, RngStream, make_grid
-from cfslab.gaussian import gen_brownian
 from cfslab.integrate import qv_clock, rs_parts_form
 from cfslab.models import simulate
 

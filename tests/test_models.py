@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import cir_variance, report_passed, vol_log_price
+from oracles import cir_variance, gen_brownian, report_passed, vol_log_price
 
 from cfslab import jumps
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
@@ -22,7 +22,6 @@ from cfslab.gaussian import (
     FouSpec,
     fbm_conditional_factors,
     fou_from_fbm,
-    gen_brownian,
 )
 from cfslab.jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
 from cfslab.models import (
@@ -216,13 +215,21 @@ class TestRegimeState:
         assert np.allclose(p, expected, rtol=0.0, atol=1e-12)
 
 
+def _fbm_mean(hurst, grid, fbm, t_index):
+    # L21 L11^-1 p from the blocks of the history factor, by one dense solve
+    head, _ = fbm_conditional_factors(hurst, grid, t_index)
+    p = t_index
+    return head[p:] @ np.linalg.solve(head[:p], fbm[1 : p + 1])
+
+
 def _comte_renault_vol(spec, ctx, tail, gen):
     # one row's fBm tail from its exact conditional law given the frozen
     # history, then exp(fOU) over the whole path at the left points
     i0 = ctx.t_index
     fbm = ctx.frozen["fbm"]
-    a, factor = fbm_conditional_factors(spec.fou.hurst, ctx.grid, i0)
-    tails = a @ fbm[1 : i0 + 1] + factor @ gen.standard_normal(tail.n_steps)
+    _, factor = fbm_conditional_factors(spec.fou.hurst, ctx.grid, i0)
+    tails = (_fbm_mean(spec.fou.hurst, ctx.grid, fbm, i0)
+             + factor @ gen.standard_normal(tail.n_steps))
     v = fou_from_fbm(ctx.grid, spec.fou, np.concatenate((fbm[: i0 + 1], tails)))
     return np.exp(v[i0:-1])
 
@@ -233,13 +240,15 @@ class TestMixedFbmOracle:
     @pytest.mark.parametrize("restart", [0, 128])
     @pytest.mark.parametrize("name", ["mixed_fbm_h025", "mixed_fbm_h075"])
     def test_redraw_continuation(self, name, restart):
-        # z_t + cumsum0(sqrt(dt) xi_W) + w (A fbm_past + L xi_F - fbm_t),
-        # each row's xi_W and then its xi_F read in order from the block
+        # z_t + cumsum0(sqrt(dt) xi_W) + w (mean + L xi_F - fbm_t), with
+        # mean = L21 L11^-1 fbm_past, each row's xi_W and then its xi_F read
+        # in order from the block
         spec = get_preset(name)  # REDRAW
         _, ctx = simulate(spec, self.GRID, RngStream(23, 0), restart)
         tail = tail_grid(self.GRID, restart)
-        a, factor = fbm_conditional_factors(spec.hurst, self.GRID, restart)
+        _, factor = fbm_conditional_factors(spec.hurst, self.GRID, restart)
         fbm = ctx.frozen["fbm"]
+        mean = _fbm_mean(spec.hurst, self.GRID, fbm, restart)
         rng = RngStream(23, 1)
         block = np.vstack([b for _, b in
                            iter_continuations(spec, ctx, tail, rng, 64)])
@@ -248,8 +257,8 @@ class TestMixedFbmOracle:
             xi_w = gen.standard_normal(tail.n_steps)
             xi_f = gen.standard_normal(tail.n_steps)
             w = np.concatenate(([0.0], np.cumsum(np.sqrt(tail.dt) * xi_w)))
-            rise = np.concatenate(([0.0], a @ fbm[1 : restart + 1]
-                                   + factor @ xi_f - fbm[restart]))
+            rise = np.concatenate(([0.0], mean + factor @ xi_f
+                                   - fbm[restart]))
             expected = ctx.z_t + w + spec.fbm_weight * rise
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mc_tube_probability
+from oracles import gen_brownian, mc_tube_probability
 
 from cfslab import core, gaussian
 from cfslab.catalog import affine_integrand, get_preset
@@ -24,7 +24,6 @@ from cfslab.core import (
     make_grid,
     tail_grid,
 )
-from cfslab.gaussian import gen_brownian
 from cfslab.models import (
     HkMode,
     WienerIntegral,
@@ -300,15 +299,16 @@ class TestThreadedChunks:
 
     def test_factor_cache_filled_once(self, two_cpus, monkeypatch):
         # a slow miss, so that the second chunk's thread asks for the
-        # conditional factor while the first is building it
+        # conditional factor while the first is building the history factor
         spec, ctx = _ctx("mixed_fbm_h075", t_index=128)
-        solve = gaussian.solve_triangular
+        schur = gaussian._toeplitz_schur
 
-        def slow_solve(*args, **kwargs):
+        def slow_schur(*args, **kwargs):
             time.sleep(0.2)
-            return solve(*args, **kwargs)
+            return schur(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian, "solve_triangular", slow_solve)
+        monkeypatch.setattr(gaussian, "_toeplitz_schur", slow_schur)
+        gaussian._fbm_cholesky.cache_clear()
         gaussian.fbm_conditional_factors.cache_clear()
         q = SmallBallQuery(128, constant_path(tail_grid(GRID, 128), 0.0), 0.5)
         estimate_many(spec, ctx, [q], 2048, RngStream(26, 1), workers=2)
