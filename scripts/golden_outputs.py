@@ -3,8 +3,9 @@
 With BLAS pinned to one thread, runs at fixed seeds:
 
 - one coarse battery per preset (every preset, restarts 0, 1/4, 1/2 and
-  3/4 on 2^8 steps, 1000 replications), writing CSV, JSON and PLOTDATA;
+  3/4 on 2^8 steps, 1000 replications);
 - the default seven-model battery at 1000 replications on 2^11 steps;
+  like every battery, each writes its report as CSV, JSON and PLOTDATA;
 - a few smallball queries at `--workers 2`, so that comparing listings
   also checks the threaded counts against a parent's bytes;
 - raw continuation bytes of the presets whose REDRAW branch no preset
@@ -89,8 +90,7 @@ def _run(argv: list[str], out: Path, config: str) -> None:
 
 def write_outputs(out: Path) -> None:
     for name in catalog.preset_names():
-        _run(["battery", "--reps", "1000", "--format", "plotdata"], out,
-             f"models = {name}\n{COARSE}")
+        _run(["battery", "--reps", "1000"], out, f"models = {name}\n{COARSE}")
     _run(["battery", "--reps", "1000", "--workers", "2"], out,
          f"models = {','.join(catalog.DEFAULT_BATTERY)}\n")
     for model, eps, t_frac, extra in SMALLBALL:

@@ -7,8 +7,10 @@ precedence is flag > file > default. `KEYS` holds, for each command, every
 key it reads with its default; the battery's template keys are the fields
 of `suite.BatteryTemplate`, so their defaults are written only there. A
 value is parsed by the type of its key's default, and a key the command
-does not read is a configuration error. Exit codes: 0 success, 2
-configuration error, 3 numerical error.
+does not read is a configuration error, as is a value that the library
+code reading it rejects. `smallball` writes a one-row CSV, and `battery`
+writes its report in each `suite.ReportFormat`: CSV, JSON and PLOTDATA.
+Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 from __future__ import annotations
 
@@ -33,13 +35,13 @@ from .core import (
 from .models import FAMILIES, chunk_threads, simulate
 from .smallball import SmallBallQuery, estimate_smallball
 from .suite import (
-    CSV_HEADER,
     BatteryRow,
     BatteryTemplate,
     ReportFormat,
     TargetStyle,
+    render_csv,
     render_report,
-    row_fields,
+    restart_node,
     run_battery,
     single_target,
 )
@@ -63,7 +65,6 @@ KEYS: dict[str, dict[str, object]] = {
     },
     "battery": {
         **_COMMON,
-        "format": ReportFormat.CSV,
         "models": ",".join(catalog.DEFAULT_BATTERY),
         **_TEMPLATE,
     },
@@ -96,8 +97,8 @@ def _parse_config_file(path: str, command: str) -> dict[str, str]:
 
 def _parse(key: str, text: str, default: object) -> object:
     """One file value or flag, parsed by the type of its key's default: an
-    int, a finite float, a non-empty comma list of finite floats (for a
-    tuple), an enum member or a string. `seed`, with no default, is an int."""
+    int, a finite float, a comma list of finite floats (for a tuple), an
+    enum member or a string. `seed`, with no default, is an int."""
     kind = int if default is None else type(default)
     try:
         if kind is tuple:
@@ -106,8 +107,6 @@ def _parse(key: str, text: str, default: object) -> object:
             value = kind(text)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {text!r}") from None
-    if kind is tuple and not value:
-        raise ConfigError(f"key {key!r}: empty list")
     if kind in (float, tuple) and not np.all(np.isfinite(value)):
         raise ConfigError(f"key {key!r}: must be finite, got {text!r}")
     return value
@@ -149,7 +148,7 @@ def cmd_models(_config) -> int:
 def cmd_smallball(config) -> int:
     spec = catalog.get_preset(config["model"])
     grid = make_grid(0.0, config["t_end"], config["n_steps"])
-    t_index = int(round(config["t_frac"] * grid.n_steps))
+    t_index = restart_node(config["t_frac"], grid.n_steps)
     rng = RngStream(config["seed"], 0)
     _, ctx = simulate(spec, grid, rng.child(0), t_index)
     target = single_target(tail_grid(grid, t_index), config["style"],
@@ -163,9 +162,8 @@ def cmd_smallball(config) -> int:
     row = BatteryRow(spec.name, config["t_frac"], config["style"].value,
                      config["amplitude"], config["epsilon"], est)
     path = _out_path(config, spec.name, "smallball", "csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(",".join(row_fields(row, config["seed"])) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(render_csv([row], config["seed"]))
     print(f"{spec.name}: p_hat={est.p_hat:.6g} "
           f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}] "
           f"classification={est.classification.value}")
@@ -177,32 +175,19 @@ def cmd_smallball(config) -> int:
 
 def cmd_battery(config) -> int:
     names = [x.strip() for x in config["models"].split(",") if x.strip()]
-    if not names:
-        raise ConfigError("key 'models': empty list")
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ConfigError(f"key 'models': repeated {', '.join(repeated)}")
     models = [catalog.get_preset(n) for n in names]
     template = BatteryTemplate(**{k: config[k] for k in _TEMPLATE})
     report = run_battery(models, template, config["reps"], config["seed"],
                          workers=config["workers"])
-    model_part = names[0] if len(names) == 1 else "multi"
-    written = []
-    for fmt, ext in ((ReportFormat.CSV, "csv"), (ReportFormat.JSON, "json")):
-        path = _out_path(config, model_part, "battery", ext)
-        with open(path, "wb") as fh:
-            fh.write(render_report(report, fmt))
-        written.append(path)
-    if config["format"] is ReportFormat.PLOTDATA:
-        path = _out_path(config, model_part, "battery", "plotdata")
-        with open(path, "wb") as fh:
-            fh.write(render_report(report, ReportFormat.PLOTDATA))
-        written.append(path)
     for name in names:
         print(f"{name}: {report.verdicts[name]}")
     print(f"{report.total_reps} replications in {report.wall_clock:.1f} s "
           f"on {report.workers_used} worker(s), {config['workers']} requested")
-    for path in written:
+    model_part = names[0] if len(names) == 1 else "multi"
+    for fmt in ReportFormat:
+        path = _out_path(config, model_part, "battery", fmt.value)
+        with open(path, "wb") as fh:
+            fh.write(render_report(report, fmt))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -227,10 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and the chunks" if name == "smallball"
             else "worker processes, at most the usable CPUs and the cells"))
         p.add_argument("--out", help="output directory")
-        if name == "battery":
-            p.add_argument("--format", choices=[f.value for f in ReportFormat],
-                           help="extra report format")
-        else:
+        if name == "smallball":
             p.add_argument("--model", help="preset name (see `models`)")
             p.add_argument("--epsilon", help="tube radius")
             p.add_argument("--t-frac", dest="t_frac",
@@ -247,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "smallball":
             return cmd_smallball(config)
         return cmd_battery(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (CovarianceNotPD, DegenerateClock, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ POSITIVE, ZERO_CONSISTENT, or ANALYTIC_ZERO.
 from __future__ import annotations
 
 import enum
-import io
 import json
 import multiprocessing
 import time
@@ -115,14 +114,31 @@ class BatteryTemplate:
         # one continuation has no spread to scale the targets by
         if self.pilot_reps < 2:
             raise BadParams(f"pilot_reps must be >= 2, got {self.pilot_reps}")
-        # no rows would make every verdict vacuously POSITIVE-ALL
-        if not self.t_fracs or not self.eps_scales:
-            raise BadParams("t_fracs and eps_scales must each be non-empty")
-        # a repeat would label two cells alike, or write every row twice
+        # no rows would make every verdict vacuously POSITIVE-ALL; a repeat
+        # would label two cells alike, or write every row twice
         for name in ("t_fracs", "eps_scales"):
             values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise BadParams(f"{name} has a repeated value: {values}")
+            if not values or len(set(values)) < len(values):
+                raise BadParams(f"{name} must be non-empty and without "
+                                f"repeats: {values}")
+        # the rest would otherwise fail only inside a cell, after its
+        # history and pilot have run, under a message that names no key
+        for name in ("amp_scale", "eps_scales"):
+            value = getattr(self, name)
+            if not all(0 < v < np.inf for v in np.ravel(value)):
+                raise BadParams(f"{name} must be positive and finite: {value}")
+        if self.n_segments < 1:
+            raise BadParams(f"n_segments must be >= 1, got {self.n_segments}")
+        for t_frac in self.t_fracs:
+            if not (np.isfinite(t_frac)
+                    and 0 <= restart_node(t_frac, self.n_steps) < self.n_steps):
+                raise BadParams(f"t_fracs: {t_frac} does not restart at a "
+                                f"node in [0, n_steps = {self.n_steps})")
+
+
+def restart_node(t_frac: float, n_steps: int) -> int:
+    """The grid node nearest the restart fraction `t_frac` of the horizon."""
+    return int(round(t_frac * n_steps))
 
 
 @dataclass(frozen=True)
@@ -151,18 +167,25 @@ CSV_HEADER = ("model,t_frac,style,amplitude,epsilon,reps,hits,"
               "p_hat,ci_low,ci_high,classification,seed")
 
 
-def row_values(row: BatteryRow, seed: int) -> tuple:
-    """The report values of one row, in CSV_HEADER order."""
+def row_record(row: BatteryRow, seed: int) -> dict[str, object]:
+    """The report values of one row, keyed by the columns of CSV_HEADER."""
     e = row.estimate
-    return (row.model, row.t_frac, row.style, row.amplitude, row.epsilon,
-            e.reps, e.hits, e.p_hat, e.ci_low, e.ci_high,
-            e.classification.value, seed)
+    return dict(zip(CSV_HEADER.split(","), (
+        row.model, row.t_frac, row.style, row.amplitude, row.epsilon,
+        e.reps, e.hits, e.p_hat, e.ci_low, e.ci_high,
+        e.classification.value, seed)))
 
 
-def row_fields(row: BatteryRow, seed: int) -> list[str]:
-    """`row_values` as text; every float gets 17 significant digits."""
-    return [format(v, ".17g") if isinstance(v, float) else str(v)
-            for v in row_values(row, seed)]
+def _text(value: object) -> str:
+    """A report value as text; every float gets 17 significant digits."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def render_csv(rows, seed: int) -> bytes:
+    """The CSV report of `rows`: CSV_HEADER, then one line per row."""
+    lines = [CSV_HEADER] + [
+        ",".join(map(_text, row_record(row, seed).values())) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _pilot_std(spec, ctx, grid_tail, rng, pilot_reps) -> float:
@@ -179,7 +202,7 @@ def _pilot_std(spec, ctx, grid_tail, rng, pilot_reps) -> float:
 def _run_cell(spec: ModelSpec, t_frac: float, template: BatteryTemplate,
               reps: int, cell_rng: RngStream) -> list[BatteryRow]:
     grid = make_grid(0.0, template.t_end, template.n_steps)
-    t_index = int(round(t_frac * template.n_steps))
+    t_index = restart_node(t_frac, template.n_steps)
     _, ctx = simulate(spec, grid, cell_rng.child(0), t_index)
     grid_tail = tail_grid(grid, t_index)
     spread = _pilot_std(spec, ctx, grid_tail, cell_rng.child(1),
@@ -229,6 +252,11 @@ def run_battery(
     global _CELLS
     if not models:
         raise EmptyBattery("no models given")
+    names = [spec.name for spec in models]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        # their rows and verdicts would merge under one name
+        raise BadParams(f"models: repeated {', '.join(repeated)}")
     if reps < 1000:
         raise BadParams("battery reps must be >= 1000")
     if workers < 1:
@@ -286,11 +314,7 @@ def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
     """Serialize a battery report; UTF-8, LF line endings, 17 significant
     digits for every numeric field."""
     if fmt is ReportFormat.CSV:
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for row in report.rows:
-            out.write(",".join(row_fields(row, report.seed)) + "\n")
-        return out.getvalue().encode()
+        return render_csv(report.rows, report.seed)
     if fmt is ReportFormat.JSON:
         payload = {
             "seed": report.seed,
@@ -298,19 +322,15 @@ def render_report(report: BatteryReport, fmt: ReportFormat) -> bytes:
             "t_end": report.template.t_end,
             "n_steps": report.template.n_steps,
             "verdicts": report.verdicts,
-            "rows": [dict(zip(CSV_HEADER.split(","), row_values(r, report.seed)))
-                     for r in report.rows],
+            "rows": [row_record(r, report.seed) for r in report.rows],
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
+    # a block per model: its heading names the model, and the seed is fixed
     blocks = []
-    models = []
-    for row in report.rows:
-        if row.model not in models:
-            models.append(row.model)
-    for model in models:
-        lines = [f"# {model}"]
-        for row in report.rows:
-            if row.model == model:
-                lines.append(" ".join(row_fields(row, report.seed)[1:11]))
+    for model in dict.fromkeys(r.model for r in report.rows):
+        lines = [f"# {model}"] + [
+            " ".join(_text(v) for k, v in row_record(r, report.seed).items()
+                     if k not in ("model", "seed"))
+            for r in report.rows if r.model == model]
         blocks.append("\n".join(lines))
     return ("\n\n".join(blocks) + "\n").encode()

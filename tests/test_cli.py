@@ -1,4 +1,5 @@
 """Command-line interface: config precedence, exit codes, artifacts."""
+import csv
 import dataclasses
 import json
 import os
@@ -127,7 +128,7 @@ class TestSmallballCommand:
         assert not (tmp_path / "brownian_smallball_1.csv").exists()
 
     def test_format_flag_rejected(self, tmp_path, capsys):
-        # smallball writes one CSV row; --format belongs to battery only
+        # smallball writes one CSV row, and no command reads a format
         with pytest.raises(SystemExit) as exc:
             main(["smallball", "--seed", "1", "--reps", "200",
                   "--out", str(tmp_path), "--format", "json"])
@@ -240,13 +241,46 @@ class TestBatteryCommand:
         assert out == ""
         assert not list(tmp_path.glob("*_battery_*"))
 
-    def test_plotdata_format_adds_file(self, tmp_path, capsys):
+    def test_default_battery_writes_every_format(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "models = doleans\nn_steps = 128\npilot_reps = 200\n")
         code, _, _ = run(
             ["battery", "--config", cfg, "--seed", "3", "--reps", "1000",
-             "--out", str(tmp_path), "--format", "plotdata"], capsys)
+             "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
-        assert (tmp_path / "doleans_battery_3.plotdata").exists()
+        stem = tmp_path / "doleans_battery_3"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem.name}.{ext}" for ext in ("csv", "json", "plotdata")
+        ] + ["run.cfg"]
+        rows = list(csv.DictReader(
+            stem.with_suffix(".csv").read_text().splitlines()))
+        payload = json.loads(stem.with_suffix(".json").read_text())
+        # each block is headed by its model, and the seed is fixed
+        header, *lines = stem.with_suffix(".plotdata").read_text().splitlines()
+        assert header == "# doleans"
+        plot_columns = [c for c in rows[0] if c not in ("model", "seed")]
+        assert len(rows) == len(payload["rows"]) == len(lines) == 40
+        for row, record, line in zip(rows, payload["rows"], lines):
+            assert list(row) == list(record)
+            for column, text in row.items():
+                assert type(record[column])(text) == record[column]
+            assert row["model"] == "doleans" and row["seed"] == "3"
+            assert line.split() == [row[c] for c in plot_columns]
+
+    def test_format_key_rejected(self, tmp_path, capsys):
+        # every battery writes every report format: there is nothing to pick
+        cfg = _cfg(tmp_path, self.CFG + "format = csv\n")
+        code, out, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "unknown key 'format' for battery" in err
+        assert out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["battery", "--seed", "1", "--reps", "1000",
+                  "--out", str(tmp_path), "--format", "plotdata"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 class TestConfigKeys:

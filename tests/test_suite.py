@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cfslab import catalog
+from cfslab import catalog, suite
 from cfslab.catalog import get_preset
 from cfslab.cli import EXIT_NUMERICAL, EXIT_OK, main
 from cfslab.core import (
@@ -18,7 +18,7 @@ from cfslab.core import (
     make_grid,
     usable_cpus,
 )
-from cfslab.models import ModelSpec, WienerIntegral, chunk_threads
+from cfslab.models import MixedFbm, ModelSpec, WienerIntegral, chunk_threads
 from cfslab.suite import (
     CSV_HEADER,
     BatteryTemplate,
@@ -84,13 +84,36 @@ class TestBattery:
         pytest.param("eps_scales", (), id="eps_scales"),
         pytest.param("t_fracs", (0.5, 0.5), id="t_fracs-repeated"),
         pytest.param("eps_scales", (1.0, 1.0), id="eps_scales-repeated"),
+        pytest.param("eps_scales", (0.0, 1.0), id="eps_scales-zero"),
+        pytest.param("eps_scales", (1.0, np.inf), id="eps_scales-inf"),
+        pytest.param("amp_scale", -0.4, id="amp_scale-negative"),
+        pytest.param("amp_scale", np.nan, id="amp_scale-nan"),
+        pytest.param("n_segments", 0, id="n_segments-zero"),
+        pytest.param("t_fracs", (0.0, 1.0), id="t_fracs-last-node"),
+        pytest.param("t_fracs", (0.9999,), id="t_fracs-rounds-to-last-node"),
+        pytest.param("t_fracs", (-0.1,), id="t_fracs-negative"),
+        pytest.param("t_fracs", (np.nan,), id="t_fracs-nan"),
     ])
-    def test_empty_restarts_or_radii_rejected(self, field, values):
+    def test_empty_restarts_or_radii_rejected(self, field, values,
+                                              monkeypatch):
         # with no rows, doleans would get the vacuous verdict POSITIVE-ALL;
-        # a repeat labels two cells alike, or writes every row twice
+        # a repeat labels two cells alike, or writes every row twice; every
+        # other bad value is named before any cell runs
+        monkeypatch.setattr(suite, "_run_cell", _no_cell)
         with pytest.raises(BadParams, match=field):
             run_battery([get_preset("doleans")],
                         BatteryTemplate(**{field: values}), 1000, 1)
+
+    @pytest.mark.parametrize("models", [
+        pytest.param([get_preset("brownian")] * 2, id="same-preset"),
+        pytest.param([MixedFbm(), MixedFbm(hurst=0.3, fbm_weight=1.0)],
+                     id="same-default-name"),
+    ])
+    def test_repeated_model_name_rejected(self, models, monkeypatch):
+        # their rows and verdicts would merge under one name
+        monkeypatch.setattr(suite, "_run_cell", _no_cell)
+        with pytest.raises(BadParams, match=f"models.*{models[0].name}"):
+            run_battery(models, SMALL, 1000, 1)
 
     def test_row_accounting(self):
         rep = run_battery([get_preset("brownian")], SMALL, 1000, 1)
@@ -122,6 +145,10 @@ class TestBattery:
         b = render_report(run_battery(models, SMALL, 1000, 3, workers=8),
                           ReportFormat.CSV)
         assert a == b
+
+
+def _no_cell(*args):
+    raise AssertionError("a cell ran")
 
 
 @dataclass(frozen=True, kw_only=True)
