@@ -7,6 +7,7 @@ Brownian bridges.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 from dataclasses import dataclass
@@ -96,18 +97,41 @@ def _toeplitz_schur(c: np.ndarray) -> np.ndarray:
     return u
 
 
+CacheInfo = collections.namedtuple("CacheInfo",
+                                   "hits misses maxsize currsize")
+
+
 def _cache_one(fn):
-    """`lru_cache(maxsize=1)` whose miss is computed once per process:
-    calls hold a lock, so a thread that misses while another is computing
-    the same entry waits for it instead of computing its own."""
-    cached = functools.lru_cache(maxsize=1)(fn)
+    """Cache of `fn`'s last call, computed once per process. A miss drops
+    the old entry before computing the new one, so the process never holds
+    two results (an `lru_cache(maxsize=1)` holds both until the new one is
+    built). Calls hold a lock, so a thread that misses while another is
+    computing the same entry waits for it instead of computing its own.
+    `cache_info()` and `cache_clear()` are those of `functools.lru_cache`."""
     lock = threading.Lock()
+    entry: dict = {}  # args -> result, one at most
+    counts = collections.Counter()
 
     def call(*args):
         with lock:
-            return cached(*args)
+            if args in entry:
+                counts["hits"] += 1
+            else:
+                counts["misses"] += 1
+                entry.clear()
+                entry[args] = fn(*args)
+            return entry[args]
 
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    def cache_info():
+        with lock:
+            return CacheInfo(counts["hits"], counts["misses"], 1, len(entry))
+
+    def cache_clear():
+        with lock:
+            entry.clear()
+            counts.clear()
+
+    call.cache_info, call.cache_clear = cache_info, cache_clear
     return functools.wraps(fn)(call)
 
 
@@ -130,7 +154,6 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     return u.T
 
 
-@_cache_one
 def fbm_conditional_factors(
     hurst: float, grid: TimeGrid, t_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +163,16 @@ def fbm_conditional_factors(
     of L = L22. With p the realized nodes 1..t_index, the future nodes are
     `fbm_conditional_mean(C, p)` + L @ xi for standard normal xi, since
     L21 L11^-1 = R_fp R_pp^-1 and L22 L22^T = R_ff - R_fp R_pp^-1 R_pf: the
-    Schur complement is never factored, and L is lower triangular. Chunk
-    threads that miss together wait for one build; `cache_info` counts them.
+    Schur complement is never factored, and L is lower triangular. The
+    blocks are not cached apart from the factor, so they keep no second
+    factor alive; `cache_info` and `cache_clear` are the factor cache's.
     """
     factor = _fbm_cholesky(hurst, grid)
     return factor[:, :t_index], factor[t_index:, t_index:]
+
+
+fbm_conditional_factors.cache_info = _fbm_cholesky.cache_info
+fbm_conditional_factors.cache_clear = _fbm_cholesky.cache_clear
 
 
 def fbm_conditional_mean(head: np.ndarray, past: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ mode allows; everything else is read from the frozen context.
 from __future__ import annotations
 
 import enum
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator
@@ -164,11 +165,28 @@ def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.nda
     """fBm at the nodes after the restart, one row per row of the
     C-contiguous standard normals `xi`, from its exact conditional law
     given the frozen history; returned in `xi`."""
-    i0 = ctx.t_index
-    head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
+    head, factor = fbm_conditional_factors(hurst, ctx.grid, ctx.t_index)
     tails = lower_tri_matmul(xi, factor)
-    tails += fbm_conditional_mean(head, ctx.frozen["fbm"][1 : i0 + 1])
+    tails += _fbm_mean(hurst, ctx, head)
     return tails
+
+
+_fbm_mean_lock = threading.Lock()
+_fbm_mean_last: list = []  # [(hurst, ctx, mean)] or empty
+
+
+def _fbm_mean(hurst: float, ctx: ConditioningContext,
+              head: np.ndarray) -> np.ndarray:
+    """`fbm_conditional_mean` of `head` and the frozen past of `ctx`, which
+    every chunk of a context shares: computed once per context and kept,
+    with the context it belongs to, until another context asks. Chunk
+    threads only read it."""
+    with _fbm_mean_lock:
+        if not (_fbm_mean_last and _fbm_mean_last[0][1] is ctx
+                and _fbm_mean_last[0][0] == hurst):
+            past = ctx.frozen["fbm"][1 : ctx.t_index + 1]
+            _fbm_mean_last[:] = [(hurst, ctx, fbm_conditional_mean(head, past))]
+        return _fbm_mean_last[0][2]
 
 
 def _validation_paths(spec: ModelSpec):
@@ -606,8 +624,7 @@ def simulate(
     mode, given `spec.drivers(grid, rng)` and W's normals from
     rng.child(0).generator() (in REDRAW too: drivers just drawn, then
     frozen, give the joint law)."""
-    if not 0 <= t_index < grid.n_steps:
-        raise BadParams(f"t_index {t_index} not in [0, {grid.n_steps})")
+    tail_grid(grid, t_index)  # BadParams unless 0 <= t_index < n_steps
     frozen = spec.drivers(grid, rng)
     start = ConditioningContext(spec.tag, grid, 0, np.array([spec.z0]), frozen)
     z = spec.continuation(start, grid, rng.child(0).generator(), 1,

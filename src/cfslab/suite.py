@@ -130,15 +130,18 @@ class BatteryTemplate:
         if self.n_segments < 1:
             raise BadParams(f"n_segments must be >= 1, got {self.n_segments}")
         for t_frac in self.t_fracs:
-            if not (np.isfinite(t_frac)
-                    and 0 <= restart_node(t_frac, self.n_steps) < self.n_steps):
-                raise BadParams(f"t_fracs: {t_frac} does not restart at a "
-                                f"node in [0, n_steps = {self.n_steps})")
+            restart_node(t_frac, self.n_steps, "t_fracs")
 
 
-def restart_node(t_frac: float, n_steps: int) -> int:
-    """The grid node nearest the restart fraction `t_frac` of the horizon."""
-    return int(round(t_frac * n_steps))
+def restart_node(t_frac: float, n_steps: int, key: str = "t_frac") -> int:
+    """The grid node nearest the restart fraction `t_frac` of the horizon;
+    BadParams, naming the key `t_frac` came from, unless it is one of the
+    nodes 0..n_steps - 1 that a continuation can restart from."""
+    node = int(round(t_frac * n_steps)) if np.isfinite(t_frac) else -1
+    if not 0 <= node < n_steps:
+        raise BadParams(f"{key}: {t_frac} does not restart at a node in "
+                        f"[0, n_steps = {n_steps})")
+    return node
 
 
 @dataclass(frozen=True)

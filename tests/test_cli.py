@@ -68,6 +68,24 @@ class TestSmallballCommand:
         assert flag[2:].replace("-", "_") in err
         assert not (tmp_path / "brownian_smallball_1.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--t-frac", "1.0", "t_frac: 1.0 does not restart at a "
+                     "node in [0, n_steps = 128)", id="t_frac-last-node"),
+        pytest.param("--epsilon", "0", "key 'epsilon': must be positive, "
+                     "got 0.0", id="epsilon-zero"),
+    ])
+    def test_bad_value_names_the_key(self, tmp_path, capsys, monkeypatch,
+                                     flag, value, message):
+        # rejected before the history is simulated
+        monkeypatch.setattr(cli, "simulate", _no_simulate)
+        code, _, err = run(
+            ["smallball", "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path), "--model", "brownian", flag, value,
+             "--config", _cfg(tmp_path, "n_steps = 128\n")], capsys)
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert not (tmp_path / "brownian_smallball_1.csv").exists()
+
     def test_nonfinite_config_value_rejected(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "n_steps = 128\namplitude = inf\n")
         code, _, err = run(
@@ -375,6 +393,10 @@ class TestImports:
 
 class _Stop(Exception):
     pass
+
+
+def _no_simulate(*args, **kwargs):
+    raise AssertionError("simulate ran")
 
 
 def _cfg(tmp_path, text):

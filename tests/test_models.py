@@ -2,12 +2,13 @@
 import dataclasses
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from oracles import cir_variance, gen_brownian, report_passed, vol_log_price
 
-from cfslab import jumps
+from cfslab import gaussian, jumps
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
 from cfslab.core import (
     BLOCK,
@@ -548,6 +549,38 @@ class TestChunkMemory:
         flat = RngStream(32, 1).generator().standard_normal((5, 14))
         assert np.array_equal(block[:, 1:], flat[:, :7])
         assert np.array_equal(xi, flat[:, 7:])
+
+
+class TestFactorMemory:
+    """A process holds one fBm factor: the cache drops the factor of the
+    last (H, grid) before it builds the next, and the conditional blocks
+    are views of the cached factor, kept alive by no cache of their own."""
+
+    GRID = make_grid(0.0, 1.0, 2048)
+
+    def test_one_factor_while_building_the_next(self, monkeypatch):
+        gaussian._fbm_cholesky.cache_clear()
+        first = weakref.ref(gaussian._fbm_cholesky(0.25, self.GRID).base)
+        fbm_conditional_factors(0.25, self.GRID, 1024)  # blocks, dropped
+        schur, first_alive = gaussian._toeplitz_schur, []
+
+        def spy(c):
+            first_alive.append(first() is not None)
+            return schur(c)
+
+        monkeypatch.setattr(gaussian, "_toeplitz_schur", spy)
+        fbm_conditional_factors(0.75, self.GRID, 1024)
+        assert first_alive == [False]
+
+    def test_blocks_are_views_of_the_cached_factor(self):
+        head, ell = fbm_conditional_factors(0.75, self.GRID, 1024)
+        factor = gaussian._fbm_cholesky(0.75, self.GRID)
+        assert factor.base is not None
+        assert head.base is factor.base and ell.base is factor.base
+        assert np.shares_memory(head[:4, :4], factor[:4, :4])
+        assert np.shares_memory(ell[:4, :4], factor[1024:1028, 1024:1028])
+        assert (fbm_conditional_factors.cache_info()
+                == gaussian._fbm_cholesky.cache_info())
 
 
 class TestStreamContract:
