@@ -149,9 +149,6 @@ def cmd_smallball(config) -> int:
     spec = catalog.get_preset(config["model"])
     grid = make_grid(0.0, config["t_end"], config["n_steps"])
     t_index = restart_node(config["t_frac"], grid.n_steps)
-    if not config["epsilon"] > 0:
-        raise ConfigError(f"key 'epsilon': must be positive, "
-                          f"got {config['epsilon']}")
     target = single_target(tail_grid(grid, t_index), config["style"],
                            config["amplitude"], config["n_segments"])
     query = SmallBallQuery(t_index, target, config["epsilon"])

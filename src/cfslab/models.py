@@ -10,7 +10,6 @@ mode allows; everything else is read from the frozen context.
 from __future__ import annotations
 
 import enum
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator
@@ -165,28 +164,11 @@ def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.nda
     """fBm at the nodes after the restart, one row per row of the
     C-contiguous standard normals `xi`, from its exact conditional law
     given the frozen history; returned in `xi`."""
-    head, factor = fbm_conditional_factors(hurst, ctx.grid, ctx.t_index)
+    i0 = ctx.t_index
+    head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
     tails = lower_tri_matmul(xi, factor)
-    tails += _fbm_mean(hurst, ctx, head)
+    tails += fbm_conditional_mean(head, ctx.frozen["fbm"][1 : i0 + 1])
     return tails
-
-
-_fbm_mean_lock = threading.Lock()
-_fbm_mean_last: list = []  # [(hurst, ctx, mean)] or empty
-
-
-def _fbm_mean(hurst: float, ctx: ConditioningContext,
-              head: np.ndarray) -> np.ndarray:
-    """`fbm_conditional_mean` of `head` and the frozen past of `ctx`, which
-    every chunk of a context shares: computed once per context and kept,
-    with the context it belongs to, until another context asks. Chunk
-    threads only read it."""
-    with _fbm_mean_lock:
-        if not (_fbm_mean_last and _fbm_mean_last[0][1] is ctx
-                and _fbm_mean_last[0][0] == hurst):
-            past = ctx.frozen["fbm"][1 : ctx.t_index + 1]
-            _fbm_mean_last[:] = [(hurst, ctx, fbm_conditional_mean(head, past))]
-        return _fbm_mean_last[0][2]
 
 
 def _validation_paths(spec: ModelSpec):

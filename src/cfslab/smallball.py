@@ -88,7 +88,7 @@ class SmallBallQuery:
 
     def __post_init__(self):
         if not self.eps > 0:
-            raise BadQuery("eps must be positive")
+            raise BadQuery(f"epsilon must be positive, got {self.eps}")
         if self.target.values[0] != 0.0:
             raise BadQuery("target must vanish at the restart node")
 

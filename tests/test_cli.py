@@ -71,8 +71,8 @@ class TestSmallballCommand:
     @pytest.mark.parametrize("flag, value, message", [
         pytest.param("--t-frac", "1.0", "t_frac: 1.0 does not restart at a "
                      "node in [0, n_steps = 128)", id="t_frac-last-node"),
-        pytest.param("--epsilon", "0", "key 'epsilon': must be positive, "
-                     "got 0.0", id="epsilon-zero"),
+        pytest.param("--epsilon", "0", "epsilon must be positive, got 0.0",
+                     id="epsilon-zero"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, capsys, monkeypatch,
                                      flag, value, message):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import gen_brownian, mc_tube_probability
 
-from cfslab import core, gaussian, models
+from cfslab import core, gaussian
 from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
     BadParams,
@@ -314,26 +314,6 @@ class TestThreadedChunks:
         estimate_many(spec, ctx, [q], 2048, RngStream(26, 1), workers=2)
         info = gaussian.fbm_conditional_factors.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-
-    def test_conditional_mean_once_per_context(self, two_cpus, monkeypatch):
-        # the frozen past, and so the mean, is the same for every chunk
-        spec, ctx = _ctx("mixed_fbm_h075", t_index=128)
-        real, pasts = models.fbm_conditional_mean, []
-
-        def counted(head, past):
-            pasts.append(len(past))
-            return real(head, past)
-
-        monkeypatch.setattr(models, "fbm_conditional_mean", counted)
-        q = SmallBallQuery(128, constant_path(tail_grid(GRID, 128), 0.0), 0.5)
-        est = estimate_many(spec, ctx, [q], 3 * core.BLOCK, RngStream(27, 1),
-                            workers=2)[0]
-        assert pasts == [128]
-        monkeypatch.setattr(models, "_fbm_mean_last", [])
-        again = estimate_many(spec, ctx, [q], 3 * core.BLOCK,
-                              RngStream(27, 1), workers=1)[0]
-        assert pasts == [128, 128]
-        assert again == est
 
 
 def _cumsum_rows(x):
