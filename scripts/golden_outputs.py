@@ -19,6 +19,9 @@ With BLAS pinned to one thread, runs at fixed seeds:
 - `repr` of a `timechanged_smallball` estimate at 3000 replications;
 - the stdout of `cfslab models`;
 - `repr(validate_spec(spec))` for every preset;
+- `blas.txt`: the fBm multiply's path and the BLAS thread count in force
+  (`gaussian.blas_info`), so that two listings from hosts on different
+  paths differ on a named line;
 
 into a temporary directory, and prints one `<sha256>  <file>` line per
 output, sorted by file name. A refactor that must keep its bytes runs this
@@ -37,7 +40,8 @@ temporary directory, so that changed files can be compared row by row.
 import os
 
 # Pinned before numpy is imported: the fBm continuation's dense triangular
-# multiply rounds differently with more than one BLAS thread.
+# multiply rounds differently with more than one BLAS thread. cfslab sets
+# numpy's bundled OpenBLAS to one thread itself; this also pins other BLAS.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -54,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from cfslab import catalog, core  # noqa: E402
+from cfslab import catalog, core, gaussian  # noqa: E402
 from cfslab.cli import main as cli_main  # noqa: E402
 from cfslab.core import RngStream, make_grid, tail_grid  # noqa: E402
 from cfslab.models import (  # noqa: E402
@@ -125,6 +129,7 @@ def write_outputs(out: Path) -> None:
     if rc != 0:
         raise SystemExit(f"cfslab models exited with {rc}")
     (out / "models.txt").write_text(listing.getvalue(), encoding="utf-8")
+    (out / "blas.txt").write_text(gaussian.blas_info(), encoding="utf-8")
 
 
 def _write_raw(path: Path, spec, t_indices, history: bool,

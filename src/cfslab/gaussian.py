@@ -8,7 +8,9 @@ Brownian bridges.
 from __future__ import annotations
 
 import collections
+import ctypes
 import functools
+import pathlib
 import threading
 from dataclasses import dataclass
 
@@ -148,6 +150,7 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
     """
     if grid.t_start != 0.0:
         raise BadParams("fBm grid must start at 0")
+    _blas()  # one BLAS thread, before the factor's first multiply
     u = _toeplitz_schur(_fgn_autocovariance(hurst, grid))
     np.cumsum(u, axis=1, out=u)
     u.setflags(write=False)
@@ -187,14 +190,96 @@ def fbm_conditional_mean(head: np.ndarray, past: np.ndarray) -> np.ndarray:
     return head[p:] @ y
 
 
+# CBLAS enum values: column-major order, A on the left, A lower triangular,
+# not transposed, with a non-unit diagonal
+_CBLAS_TRMM = (102, 141, 122, 111, 131)
+# rows of xi per dtrmm call: OpenBLAS sizes its scratch to the call, and a
+# whole 1024-row block touches 2.4 MiB more of it than four 256-row calls,
+# which give the same bytes
+_DTRMM_ROWS = 256
+_Blas = collections.namedtuple("_Blas", "dtrmm threads")
+
+
+@functools.cache
+def _blas() -> _Blas | None:
+    """The `dtrmm` of numpy's bundled OpenBLAS, with its `get_num_threads`
+    (None if not exported); None where numpy bundles no such library.
+
+    Looked up once per process, and only in numpy's own `numpy.libs` (the
+    ILP64 `libscipy_openblas64_` of numpy's wheels), so it is the very
+    library numpy's `matmul` and `linalg` call. Loading it sets that BLAS to
+    one thread for the life of the process: cfslab runs its own processes
+    and threads, and the multiply's bytes depend on the BLAS thread count.
+    `_fbm_cholesky` calls this before cfslab's first BLAS call. A numpy
+    built on MKL, Accelerate or a system BLAS bundles no such library: then
+    nothing is set, and `lower_tri_matmul` uses `matmul` panels.
+    """
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    pin = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if pin is not None:
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+        pin(1)
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.argtypes, threads.restype = [], ctypes.c_int
+    dtrmm = getattr(lib, "scipy_cblas_dtrmm64_", None)
+    if dtrmm is None:
+        return None
+    i64 = ctypes.c_int64
+    dtrmm.argtypes = ([ctypes.c_int] * 5 + [i64, i64, ctypes.c_double,
+                      ctypes.c_void_p, i64, ctypes.c_void_p, i64])
+    dtrmm.restype = None
+    return _Blas(dtrmm, threads)
+
+
+def blas_info() -> str:
+    """The fBm multiply's path and the BLAS thread count in force, one
+    `key: value` line each; fBm bytes depend on both."""
+    blas = _blas()
+    path = "matmul panels" if blas is None else "openblas dtrmm"
+    threads = ("unknown" if blas is None or blas.threads is None
+               else blas.threads())
+    return f"multiply: {path}\nblas_threads: {threads}\n"
+
+
 def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """xi @ factor.T for a lower triangular factor, in place in a
-    C-contiguous `xi` (any other is copied first). Column j reads columns
-    0..j of `xi` only, so each quarter of the rows is overwritten by 8
-    column panels from the right, each a `matmul` into one buffer of 1/32
-    of `xi`."""
-    xi = np.ascontiguousarray(xi)
+    """xi @ factor.T for a lower triangular (m, m) factor, in place in a
+    writeable, C-contiguous float `xi` (any other is copied first).
+
+    With numpy's bundled OpenBLAS (`_blas`), each run of 256 rows of `xi`,
+    read as a column-major (m, rows) matrix B, is overwritten by one
+    dtrmm: B = factor @ B. A factor with contiguous columns, such as the
+    read-only blocks of `fbm_conditional_factors`, is passed in place with
+    its own leading dimension; any other is copied to Fortran order first.
+    A row's product does not depend on how many rows share its call, so
+    fewer replications give a byte-equal prefix of the rows.
+
+    Otherwise column j reads columns 0..j of `xi` only, so each quarter of
+    the rows is overwritten by 8 column panels from the right, each a
+    `matmul` into one buffer of 1/32 of `xi`.
+    """
+    xi = np.require(xi, np.float64, ["C", "W", "A"])
     rows, m = xi.shape
+    if factor.shape != (m, m):
+        raise ValueError(f"factor {factor.shape} does not fit xi {xi.shape}")
+    blas = _blas()
+    if blas is not None and xi.size:
+        item = xi.itemsize
+        if not (factor.dtype == np.float64 and factor.flags.aligned
+                and factor.strides[0] == item
+                and factor.strides[1] % item == 0
+                and factor.strides[1] >= item * m):
+            factor = np.asfortranarray(factor, np.float64)
+        lda = factor.strides[1] // item
+        for r in range(0, rows, _DTRMM_ROWS):
+            part = xi[r : r + _DTRMM_ROWS]
+            blas.dtrmm(*_CBLAS_TRMM, m, len(part), 1.0, factor.ctypes.data,
+                       lda, part.ctypes.data, m)
+        return xi
     step, width = -(-rows // 4), -(-m // 8)
     buf = np.empty(step * width)
     for r in range(0, rows, step):

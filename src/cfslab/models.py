@@ -656,9 +656,10 @@ def iter_continuations(
     Replication r is row r mod BLOCK of block r // BLOCK, which draws from
     rng.child(r // BLOCK), so the output does not depend on how chunks
     are distributed over workers, and any `reps` gives a prefix of the
-    same rows. A shorter last block may round differently in the fBm
-    families' dense multiply, so that prefix agrees to machine precision
-    there and byte for byte elsewhere.
+    same rows, byte for byte. Only on numpy builds without the bundled
+    OpenBLAS (`gaussian.lower_tri_matmul`'s `matmul` panels) may a shorter
+    last block round differently in the fBm families' dense multiply, so
+    that the prefix agrees there to machine precision.
     """
     for start, block in blocks(rng, reps):
         yield start, continue_chunk(spec, ctx, grid_tail, block)

@@ -40,6 +40,8 @@ from .models import (  # the REASON_ constants are re-exported
 
 _THIN_STREAM = 101  # child index for excursion-thinning uniforms
 _TILE_ROWS = 32  # rows per deviation tile
+# the counter's screen reads every 16th node, counted back from the last
+_SCREEN_STRIDE = 16
 
 
 def thinning_uniforms(rng: RngStream, block: int, rows: int,
@@ -157,6 +159,10 @@ def estimate_many(
         group_of = [groups.setdefault(targets[row].tobytes(), len(groups))
                     for row in range(len(live))]
         first = [group_of.index(gi) for gi in range(len(groups))]
+        widest = np.full(len(groups), -np.inf)
+        np.maximum.at(widest, group_of, eps)
+        nodes = slice(grid_tail.n_nodes - 1, None, -_SCREEN_STRIDE)
+        screen_targets = targets[first][:, nodes]
 
         def count(start: int, block: np.ndarray) -> np.ndarray:
             """Hits of each live query among the chunk's rows."""
@@ -165,17 +171,32 @@ def estimate_many(
             # overlap path. One deviation pass per distinct target; queries
             # differing only in eps reuse it, which keeps hit sets nested
             # across radii. A tile stays in cache across targets.
+            # A row's deviation at the screen's nodes is a lower bound of its
+            # deviation, by the same operations; a row whose bound reaches
+            # the group's widest radius hits no query of the group, so it
+            # keeps the bound and skips the full pass (a NaN bound reaches
+            # no radius, so its row takes the full pass).
             rel = block
             buf = np.empty((_TILE_ROWS, grid_tail.n_nodes))
+            sbuf = np.empty((_TILE_ROWS, screen_targets.shape[1]))
             dev = np.empty((len(groups), rel.shape[0]))
             for lo in range(0, rel.shape[0], _TILE_ROWS):
                 tile = rel[lo : lo + _TILE_ROWS]
                 tile -= tile[:, :1].copy()
-                out = buf[: len(tile)]
+                sub = tile[:, nodes]
+                bound = sbuf[: len(tile)]
                 for gi in range(len(groups)):
-                    np.subtract(tile, targets[first[gi]], out=out)
-                    np.abs(out, out=out)
-                    out.max(axis=1, out=dev[gi, lo : lo + len(tile)])
+                    d = dev[gi, lo : lo + len(tile)]
+                    np.subtract(sub, screen_targets[gi], out=bound)
+                    np.abs(bound, out=bound)
+                    bound.max(axis=1, out=d)
+                    todo = np.flatnonzero(~(d >= widest[gi]))
+                    if len(todo):
+                        rows = tile if len(todo) == len(tile) else tile[todo]
+                        out = buf[: len(todo)]
+                        np.subtract(rows, targets[first[gi]], out=out)
+                        np.abs(out, out=out)
+                        d[todo] = out.max(axis=1)
             chunk_hits = np.zeros(len(live), dtype=np.int64)
             if s2 is None:
                 for row, gi in enumerate(group_of):

@@ -67,8 +67,8 @@ def build_targets(
     grid_tail: TimeGrid, amplitude: float, n_segments: int = 4
 ) -> TargetFamily:
     """Deterministic family: 5 styles x amplitudes {a, a/2} = 10 targets."""
-    if amplitude <= 0 or n_segments < 1:
-        raise BadParams("need amplitude > 0 and n_segments >= 1")
+    if amplitude <= 0:
+        raise BadParams(f"amplitude: need > 0, got {amplitude}")
     members = tuple(
         (style, amp, single_target(grid_tail, style, amp, n_segments))
         for style in TargetStyle for amp in (amplitude, amplitude / 2.0))
@@ -80,8 +80,10 @@ def single_target(
     n_segments: int = 4,
 ) -> Path:
     """One piecewise-linear target; amplitude 0 gives the zero function."""
-    if amplitude < 0 or n_segments < 1:
-        raise BadParams("need amplitude >= 0 and n_segments >= 1")
+    if amplitude < 0:
+        raise BadParams(f"amplitude: need >= 0, got {amplitude}")
+    if n_segments < 1:
+        raise BadParams(f"n_segments: need >= 1, got {n_segments}")
     t = np.asarray(grid_tail.nodes)
     frac = (t - grid_tail.t_start) / grid_tail.span
     kf, kv = _knots(style, amplitude, n_segments)

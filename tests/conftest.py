@@ -28,3 +28,12 @@ def fail_chunk(monkeypatch):
         monkeypatch.setattr(models, "continue_chunk", fail)
 
     return install
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """`gaussian.lower_tri_matmul` on its `matmul` panels, as on a numpy
+    that bundles no OpenBLAS: the loader finds no library."""
+    from cfslab import gaussian
+
+    monkeypatch.setattr(gaussian, "_blas", lambda: None)

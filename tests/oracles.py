@@ -12,6 +12,7 @@ from cfslab.core import (
     make_estimate,
 )
 from cfslab.jumps import SubordinatorKind
+from cfslab.smallball import _bridge_survival
 
 
 class NotPowerOfTwo(CfsError):
@@ -74,6 +75,27 @@ def mc_tube_probability(sample_path, grid, f: Path, eps: float, reps: int, rng):
         if dev < eps:
             hits += 1
     return make_estimate(hits, reps)
+
+
+def tube_hits(paths, queries, s2=None, uniforms=None) -> list[int]:
+    """The tube counter without its screen: hits of each `(target, eps)`
+    query among the rows of one block of `paths`, from every row's full
+    deviation max |(z - z_0) - target|. With cell variances `s2`, rows
+    inside the tube are thinned: a hit needs `uniforms[row, g]` below the
+    row's bridge survival, g being the target's index among the distinct
+    targets in order of first appearance."""
+    rel = paths - paths[:, :1]
+    groups: dict[bytes, int] = {}
+    hits = []
+    for target, eps in queries:
+        g = groups.setdefault(np.asarray(target).tobytes(), len(groups))
+        inside = np.max(np.abs(rel - target), axis=1) < eps
+        if s2 is None:
+            hits.append(int(np.count_nonzero(inside)))
+            continue
+        surv = _bridge_survival(rel[inside] - target, eps, s2)
+        hits.append(int(np.count_nonzero(uniforms[inside, g] < surv)))
+    return hits
 
 
 def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:

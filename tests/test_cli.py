@@ -86,6 +86,23 @@ class TestSmallballCommand:
         assert message in err
         assert not (tmp_path / "brownian_smallball_1.csv").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("amplitude = -1", "amplitude: need >= 0, got -1.0",
+                     id="amplitude"),
+        pytest.param("n_segments = 0", "n_segments: need >= 1, got 0",
+                     id="n_segments"),
+    ])
+    def test_bad_target_key_is_named(self, tmp_path, capsys, monkeypatch,
+                                     line, message):
+        monkeypatch.setattr(cli, "simulate", _no_simulate)
+        code, _, err = run(
+            ["smallball", "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path), "--model", "brownian",
+             "--config", _cfg(tmp_path, f"n_steps = 128\n{line}\n")], capsys)
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert not (tmp_path / "brownian_smallball_1.csv").exists()
+
     def test_nonfinite_config_value_rejected(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "n_steps = 128\namplitude = inf\n")
         code, _, err = run(
@@ -389,6 +406,33 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
         assert (tmp_path / "mixed_fbm_h025_battery_3.csv").exists()
+
+
+class TestBlasThreads:
+    def test_fbm_battery_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # fresh interpreters, so that OpenBLAS reads each environment: the
+        # library sets numpy's BLAS to one thread before its first multiply
+        cfg = _cfg(tmp_path, "models = mixed_fbm_h075\nt_fracs = 0.5\n"
+                             "n_steps = 2048\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        outputs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            out.mkdir()
+            extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "cfslab.cli", "battery", "--config", cfg,
+                 "--seed", "1003", "--reps", "1000", "--workers", "1",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={**env, "PYTHONPATH": src, **extra})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(sorted((p.name, p.read_bytes())
+                                  for p in out.iterdir()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 3  # CSV, JSON and PLOTDATA
 
 
 class _Stop(Exception):

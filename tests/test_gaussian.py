@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import NotPowerOfTwo, fbm_covariance, gen_brownian, gen_brownian_alt
 from scipy.linalg import toeplitz
 
+from cfslab import gaussian
 from cfslab.core import (
     BadParams,
     CovarianceNotPD,
@@ -261,6 +262,51 @@ class TestFbmFactor:
         assert out.flags.c_contiguous and not np.shares_memory(out, flat)
         assert np.array_equal(flat, before)
         assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+        # so is a read-only one
+        frozen = flat[:, m:].copy()
+        frozen.setflags(write=False)
+        out = lower_tri_matmul(frozen, ell)
+        assert not np.shares_memory(out, frozen)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [7, 1024])
+    @pytest.mark.parametrize("rows", [3, 8])
+    def test_matmul_panels_equal_dense_product(self, m, rows, panels):
+        self.test_lower_tri_matmul_equals_dense_product(m, rows)
+
+    @pytest.mark.parametrize("t_index", [0, 128])
+    def test_matmul_panels_are_c_contiguous(self, t_index, panels):
+        self.test_lower_tri_matmul_is_c_contiguous(t_index)
+
+    def test_lower_tri_matmul_rejects_a_factor_of_another_size(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            lower_tri_matmul(np.zeros((3, 4)), np.eye(5))
+
+    @pytest.mark.skipif(gaussian._blas() is None,
+                        reason="numpy bundles no scipy-openblas")
+    @pytest.mark.parametrize("t_index", [0, 1024])
+    def test_dtrmm_agrees_with_panels(self, t_index, monkeypatch):
+        # the two paths sum in different orders; the tolerance, 1e-13 of
+        # the largest entry, was fixed before measuring (about 1.5e-15)
+        grid = make_grid(0.0, 1.0, 2048)
+        _, ell = fbm_conditional_factors(0.75, grid, t_index)
+        xi = RngStream(9, t_index).generator().standard_normal(
+            (300, 2048 - t_index))
+        dtrmm = lower_tri_matmul(xi.copy(), ell)
+        monkeypatch.setattr(gaussian, "_blas", lambda: None)
+        panels = lower_tri_matmul(xi.copy(), ell)
+        assert np.max(np.abs(dtrmm - panels)) <= 1e-13 * np.max(np.abs(panels))
+
+    @pytest.mark.skipif(gaussian._blas() is None,
+                        reason="numpy bundles no scipy-openblas")
+    def test_dtrmm_rows_do_not_depend_on_the_row_count(self):
+        # fewer replications give a byte-equal prefix of a block's rows
+        grid = make_grid(0.0, 1.0, 2048)
+        _, ell = fbm_conditional_factors(0.25, grid, 1024)
+        xi = RngStream(10, 0).generator().standard_normal((1024, 1024))
+        whole = lower_tri_matmul(xi.copy(), ell)
+        assert np.array_equal(lower_tri_matmul(xi[:544].copy(), ell),
+                              whole[:544])
 
 
 def _fou(grid, spec, rng):

@@ -263,6 +263,11 @@ class TestMixedFbmOracle:
             expected = ctx.z_t + w + spec.fbm_weight * rise
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("restart", [0, 128])
+    @pytest.mark.parametrize("name", ["mixed_fbm_h025", "mixed_fbm_h075"])
+    def test_redraw_continuation_on_matmul_panels(self, name, restart, panels):
+        self.test_redraw_continuation(name, restart)
+
 
 class TestWienerIntegralOracle:
     GRID = make_grid(0.0, 1.0, 256)
@@ -316,6 +321,9 @@ class TestLogPriceOracle:
             g = self.REDRAW_VOL[name](spec, ctx, tail, gen)
             expected = vol_log_price(ctx.z_t, g, dw, tail.dt, spec.mu)[0]
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+
+    def test_comte_renault_redraw_on_matmul_panels(self, panels):
+        self.test_redraw_continuation("comte_renault")
 
     def test_heston_history(self):
         spec = get_preset("heston")

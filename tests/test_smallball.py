@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gen_brownian, mc_tube_probability
+from oracles import gen_brownian, mc_tube_probability, tube_hits
 
-from cfslab import core, gaussian
+from cfslab import core, gaussian, models
 from cfslab.catalog import affine_integrand, get_preset
 from cfslab.core import (
     BadParams,
@@ -33,6 +33,7 @@ from cfslab.models import (
     simulate,
 )
 from cfslab.smallball import (
+    _SCREEN_STRIDE,
     _bridge_survival,
     REASON_ENDPOINT_PIN,
     REASON_POSITIVITY,
@@ -223,6 +224,63 @@ class TestEstimator:
         q = SmallBallQuery(0, constant_path(GRID, 0.0), 100.0)
         est = estimate_smallball(spec, ctx, q, 500, RngStream(8, 1))
         assert est.hits == 500
+
+
+class TestScreen:
+    """The counter skips the full deviation pass of a row whose deviation at
+    every 16th node already reaches its target's widest radius; hit counts
+    equal those of the unscreened counter (`oracles.tube_hits`)."""
+
+    GRID = make_grid(0.0, 1.0, 64)
+    REPS = 1100  # two blocks, the second ending in a partial tile
+
+    def _paths(self):
+        """Random walks with random starts, then rows whose deviation from
+        the zero target is exactly a radius, at a screened node (16, 64)
+        or between them (7), and rows holding a NaN."""
+        n = self.GRID.n_nodes
+        gen = RngStream(33, 2).generator()
+        paths = np.cumsum(0.1 * gen.standard_normal((self.REPS, n)), axis=1)
+        paths[:, 0] = gen.standard_normal(self.REPS)
+        special = np.zeros((7, n))
+        special[0, 16] = special[1, 7] = special[2, 64] = 1.0
+        special[3, 7] = special[4, 16] = -0.5
+        special[5, 16] = special[6, 7] = np.nan
+        paths[1000:1007] = special  # in the second block
+        paths[10:17] = special
+        return paths
+
+    @pytest.mark.parametrize("name", ["brownian", "heston"])
+    def test_hits_equal_unscreened_counter(self, name, monkeypatch):
+        assert _SCREEN_STRIDE == 16
+        grid = self.GRID
+        spec = get_preset(name)
+        _, ctx = simulate(spec, grid, RngStream(33, 0), 0)
+        scales = cell_noise_scale(spec, ctx, grid)
+        assert (scales is None) == (name == "heston")  # thinned or not
+        paths = self._paths()
+        monkeypatch.setattr(
+            models, "continue_chunk", lambda spec, ctx, grid_tail, block:
+            paths[block.stream.path[-1] * core.BLOCK:][:len(block)].copy())
+        t = np.asarray(grid.nodes)
+        zero, ramp, dip = 0.0 * t, 0.25 * t, -0.125 * t
+        # repeated targets and radii; the dip's radius is wider than every
+        # row's deviation, so none of its rows is screened
+        queries = [(zero, 0.5), (ramp, 0.5), (zero, 1.0), (zero, 0.5),
+                   (ramp, 0.75), (dip, 100.0)]
+        rng = RngStream(33, 1)
+        ests = estimate_many(spec, ctx, [SmallBallQuery(0, Path(grid, f), e)
+                                         for f, e in queries],
+                             self.REPS, rng)
+        expected = np.zeros(len(queries), dtype=int)
+        for b, lo in enumerate(range(0, self.REPS, core.BLOCK)):
+            rows = paths[lo : lo + core.BLOCK]
+            u = rng.child(b).child(101).generator().random((len(rows), 3))
+            expected += tube_hits(rows, queries,
+                                  None if scales is None else scales ** 2, u)
+        assert [e.hits for e in ests] == expected.tolist()
+        assert 0 < expected[0] < expected[2] < self.REPS
+        assert expected[5] == self.REPS - 4  # all but the NaN rows
 
 
 @pytest.mark.usefixtures("two_cpus")
