@@ -229,8 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "smallball":
             return cmd_smallball(config)
         return cmd_battery(config)
-    except (CovarianceNotPD, DegenerateClock, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (CovarianceNotPD, DegenerateClock, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CfsError as exc:

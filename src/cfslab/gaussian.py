@@ -163,12 +163,12 @@ def fbm_conditional_factors(
     """Blocks of the cached Cholesky factor [[L11, 0], [L21, L22]] of the
     whole history, for sampling the nodes after t_index given those up to
     it: read-only views of its first t_index columns C = [[L11], [L21]] and
-    of L = L22. With p the realized nodes 1..t_index, the future nodes are
-    `fbm_conditional_mean(C, p)` + L @ xi for standard normal xi, since
-    L21 L11^-1 = R_fp R_pp^-1 and L22 L22^T = R_ff - R_fp R_pp^-1 R_pf: the
-    Schur complement is never factored, and L is lower triangular. The
-    blocks are not cached apart from the factor, so they keep no second
-    factor alive; `cache_info` and `cache_clear` are the factor cache's.
+    of L = L22. A `gen_fbm` history is p = L11 z_p for its normals z_p up
+    to t_index, so the future nodes are L21 z_p + L @ xi for standard normal
+    xi (L21 z_p = R_fp R_pp^-1 p, L L^T = R_ff - R_fp R_pp^-1 R_pf): nothing
+    is solved or factored again, and L is lower triangular. The blocks are
+    not cached apart from the factor, so they keep no second factor alive;
+    `cache_info` and `cache_clear` are the factor cache's.
     """
     factor = _fbm_cholesky(hurst, grid)
     return factor[:, :t_index], factor[t_index:, t_index:]
@@ -176,18 +176,6 @@ def fbm_conditional_factors(
 
 fbm_conditional_factors.cache_info = _fbm_cholesky.cache_info
 fbm_conditional_factors.cache_clear = _fbm_cholesky.cache_clear
-
-
-def fbm_conditional_mean(head: np.ndarray, past: np.ndarray) -> np.ndarray:
-    """L21 (L11^-1 p) for the columns head = [[L11], [L21]] of
-    `fbm_conditional_factors` and the realized past p, with L11^-1 p by
-    forward substitution over diagonal blocks of 128 rows."""
-    p = head.shape[1]
-    y = np.empty(p)
-    for i in range(0, p, 128):
-        b = slice(i, min(i + 128, p))
-        y[b] = np.linalg.solve(head[b, b], past[b] - head[b, :i] @ y[:i])
-    return head[p:] @ y
 
 
 # CBLAS enum values: column-major order, A on the left, A lower triangular,
@@ -207,9 +195,9 @@ def _blas() -> _Blas | None:
 
     Looked up once per process, and only in numpy's own `numpy.libs` (the
     ILP64 `libscipy_openblas64_` of numpy's wheels), so it is the very
-    library numpy's `matmul` and `linalg` call. Loading it sets that BLAS to
-    one thread for the life of the process: cfslab runs its own processes
-    and threads, and the multiply's bytes depend on the BLAS thread count.
+    library numpy's `matmul` calls. Loading it sets that BLAS to one
+    thread for the life of the process: cfslab runs its own processes and
+    threads, and the multiply's bytes depend on the BLAS thread count.
     `_fbm_cholesky` calls this before cfslab's first BLAS call. A numpy
     built on MKL, Accelerate or a system BLAS bundles no such library: then
     nothing is set, and `lower_tri_matmul` uses `matmul` panels.
@@ -292,11 +280,14 @@ def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return xi
 
 
-def gen_fbm(grid: TimeGrid, spec: FbmSpec, rng: RngStream) -> Path:
-    """Fractional Brownian motion, exact on the grid (Cholesky sampling)."""
+def gen_fbm(grid: TimeGrid, spec: FbmSpec,
+            rng: RngStream) -> tuple[Path, np.ndarray]:
+    """Fractional Brownian motion, exact on the grid (Cholesky sampling),
+    and the standard normals z it was drawn from: its nodes 1.. are
+    factor @ z, so z is its driving noise (see `fbm_conditional_factors`)."""
     factor = _fbm_cholesky(spec.hurst, grid)
     z = rng.generator().standard_normal(grid.n_steps)
-    return Path(grid, np.concatenate(([0.0], factor @ z)))
+    return Path(grid, np.concatenate(([0.0], factor @ z))), z
 
 
 def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray,

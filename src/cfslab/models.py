@@ -34,7 +34,6 @@ from .gaussian import (
     FouSpec,
     bridge_paths,
     fbm_conditional_factors,
-    fbm_conditional_mean,
     fou_from_fbm,
     fou_quadrature,
     lower_tri_matmul,
@@ -163,11 +162,13 @@ def _integrate(z0: float, z: np.ndarray, mean: np.ndarray | None,
 def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.ndarray:
     """fBm at the nodes after the restart, one row per row of the
     C-contiguous standard normals `xi`, from its exact conditional law
-    given the frozen history; returned in `xi`."""
+    given the frozen history: L22 xi + L21 z_p, with z_p the history's own
+    normals up to the restart (`fbm_conditional_factors`); returned in
+    `xi`."""
     i0 = ctx.t_index
     head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
     tails = lower_tri_matmul(xi, factor)
-    tails += fbm_conditional_mean(head, ctx.frozen["fbm"][1 : i0 + 1])
+    tails += head[i0:] @ ctx.frozen["fbm_normals"][:i0]
     return tails
 
 
@@ -246,8 +247,9 @@ class MixedFbm(ModelSpec):
     def drivers(self, grid, rng):
         if self.fbm_weight == 0.0:
             return {}
-        return {"fbm": gaussian.gen_fbm(
-            grid, gaussian.FbmSpec(self.hurst), rng.child(1)).values}
+        fbm, z = gaussian.gen_fbm(
+            grid, gaussian.FbmSpec(self.hurst), rng.child(1))
+        return {"fbm": fbm.values, "fbm_normals": z}
 
     def increments(self, ctx, grid_tail, gen, rows, mode):
         # K = 1; H is the weighted fBm's rise since the restart node
@@ -453,9 +455,10 @@ class ComteRenault(_VolPrice):
     fou: FouSpec
 
     def drivers(self, grid, rng):
-        fbm = gaussian.gen_fbm(grid, gaussian.FbmSpec(self.fou.hurst), rng.child(1))
+        fbm, z = gaussian.gen_fbm(
+            grid, gaussian.FbmSpec(self.fou.hurst), rng.child(1))
         v = fou_from_fbm(grid, self.fou, fbm.values)
-        return {"v": v, "fbm": fbm.values, "g": np.exp(v)}
+        return {"v": v, "fbm": fbm.values, "fbm_normals": z, "g": np.exp(v)}
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # fOU from the restart node on, seeded with the history's quadrature

@@ -272,8 +272,6 @@ def timechanged_smallball(
     thinned by the within-cell bridge exit probability, matching the
     corrected direct estimator.
     """
-    if eps <= 0:
-        raise BadParams("eps must be positive")
     if not grids_equal(k.grid, f.grid):
         raise GridMismatch("integrand and target must share a grid")
     g = qv_clock(k)

@@ -24,7 +24,6 @@ from cfslab.gaussian import (
     bridge_paths,
     bridge_steps,
     fbm_conditional_factors,
-    fbm_conditional_mean,
     fou_from_fbm,
     fou_quadrature,
     gen_fbm,
@@ -101,7 +100,7 @@ class TestFbm:
         root = RngStream(11, 0)
         grid = make_grid(0.0, 1.0, 4)
         incs = np.array(
-            [np.diff(gen_fbm(grid, FbmSpec(0.25), root.child(r)).values)
+            [np.diff(gen_fbm(grid, FbmSpec(0.25), root.child(r))[0].values)
              for r in range(3000)]
         )
         c = np.corrcoef(incs[:, 0], incs[:, 1])[0, 1]
@@ -124,32 +123,23 @@ class TestFbm:
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     @pytest.mark.parametrize("t_index", [1, 8, 15])
     def test_conditional_mean_is_regression_on_past(self, hurst, t_index):
-        """The mean of the future nodes given the past p is R_fp R_pp^-1 p,
-        from the oracle covariance."""
+        """The mean of the future nodes given the past p, L21 z_p from the
+        path's own normals, is R_fp R_pp^-1 p from the oracle covariance."""
         grid = make_grid(0.0, 1.0, 16)
         p = t_index
         head, _ = fbm_conditional_factors(hurst, grid, p)
         cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-        past = gen_fbm(grid, FbmSpec(hurst), RngStream(4, p)).values[1 : p + 1]
+        path, normals = gen_fbm(grid, FbmSpec(hurst), RngStream(4, p))
+        past = path.values[1 : p + 1]
         expected = cov[p:, :p] @ np.linalg.solve(cov[:p, :p], past)
-        assert np.allclose(fbm_conditional_mean(head, past), expected,
-                           rtol=0.0, atol=1e-10)
-
-    def test_conditional_mean_crosses_solve_blocks(self):
-        # a past longer than one 128-row diagonal block of the substitution
-        grid = make_grid(0.0, 1.0, 512)
-        head, _ = fbm_conditional_factors(0.75, grid, 300)
-        past = RngStream(4, 1).generator().standard_normal(300)
-        expected = head[300:] @ np.linalg.solve(head[:300], past)
-        assert np.allclose(fbm_conditional_mean(head, past), expected,
+        assert np.allclose(head[p:] @ normals[:p], expected,
                            rtol=0.0, atol=1e-10)
 
     def test_unconditional_factors(self):
         grid = make_grid(0.0, 1.0, 8)
         head, ell = fbm_conditional_factors(0.5, grid, 0)
         assert head.shape == (8, 0)
-        assert np.array_equal(fbm_conditional_mean(head, np.empty(0)),
-                              np.zeros(8))
+        assert np.array_equal(head @ np.empty(0), np.zeros(8))
         cov = fbm_covariance(0.5, np.asarray(grid.nodes[1:]))
         assert np.allclose(ell @ ell.T, cov, atol=1e-10)
 
@@ -311,7 +301,8 @@ class TestFbmFactor:
 
 def _fou(grid, spec, rng):
     """The fOU path the comte_renault model builds from its fBm driver."""
-    return fou_from_fbm(grid, spec, gen_fbm(grid, FbmSpec(spec.hurst), rng).values)
+    return fou_from_fbm(grid, spec,
+                        gen_fbm(grid, FbmSpec(spec.hurst), rng)[0].values)
 
 
 class TestFou:
@@ -332,7 +323,8 @@ class TestFou:
         # with the history's quadrature sum, is the whole path's V
         grid = make_grid(0.0, 1.0, 256)
         spec = FouSpec(hurst=0.7, alpha=1.0, sigma=0.5, v0=-1.6)
-        b = np.stack([gen_fbm(grid, FbmSpec(0.7), RngStream(12, 0).child(r)).values
+        b = np.stack([gen_fbm(grid, FbmSpec(0.7),
+                              RngStream(12, 0).child(r))[0].values
                       for r in range(3)])
         b[:, : start + 1] = b[0, : start + 1]
         cum0 = fou_quadrature(grid, spec, b[0, : start + 1])[-1]

@@ -238,7 +238,20 @@ def _comte_renault_vol(spec, ctx, tail, gen):
 class TestMixedFbmOracle:
     GRID = make_grid(0.0, 1.0, 256)
 
-    @pytest.mark.parametrize("restart", [0, 128])
+    @pytest.mark.parametrize("name", ["mixed_fbm_h025", "comte_renault"])
+    def test_frozen_normals_reproduce_the_frozen_fbm(self, name):
+        # the context freezes the normals its fBm was drawn from: the
+        # history factor applied to them gives the frozen fBm bit for bit
+        spec = get_preset(name)
+        hurst = spec.fou.hurst if isinstance(spec, ComteRenault) else spec.hurst
+        _, ctx = simulate(spec, self.GRID, RngStream(23, 0), 128)
+        fbm, normals = ctx.frozen["fbm"], ctx.frozen["fbm_normals"]
+        assert normals.shape == (self.GRID.n_steps,)
+        assert fbm[0] == 0.0
+        assert np.array_equal(
+            fbm[1:], gaussian._fbm_cholesky(hurst, self.GRID) @ normals)
+
+    @pytest.mark.parametrize("restart", [0, 1, 128, 255])
     @pytest.mark.parametrize("name", ["mixed_fbm_h025", "mixed_fbm_h075"])
     def test_redraw_continuation(self, name, restart):
         # z_t + cumsum0(sqrt(dt) xi_W) + w (mean + L xi_F - fbm_t), with

@@ -486,6 +486,13 @@ class TestTimechanged:
         with pytest.raises(BadQuery):
             timechanged_smallball(k, f, 1.0, 100, RngStream(10, 1))
 
+    @pytest.mark.parametrize("eps", [0.0, np.nan])
+    def test_nonpositive_or_nan_epsilon_rejected(self, eps):
+        k = constant_path(GRID, 1.0)
+        f = constant_path(GRID, 0.0)
+        with pytest.raises(BadQuery, match="epsilon must be positive"):
+            timechanged_smallball(k, f, eps, 100, RngStream(10, 1))
+
     def test_agrees_with_direct_estimator(self):
         spec = WienerIntegral(k_fn=affine_integrand)
         _, ctx = simulate(spec, GRID, RngStream(11, 0), 0)
