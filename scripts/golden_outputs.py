@@ -34,8 +34,9 @@ any commit can run its own copy.
 Usage:
     python scripts/golden_outputs.py [--keep DIR]
 
-`--keep DIR` writes the outputs to DIR (which must exist) instead of a
-temporary directory, so that changed files can be compared row by row.
+`--keep DIR` writes the outputs to DIR (created, parents included, if it
+does not exist) instead of a temporary directory, so that changed files
+can be compared row by row.
 """
 import os
 
@@ -156,6 +157,7 @@ def main() -> int:
     with contextlib.ExitStack() as stack:
         out = Path(args.keep if args.keep is not None
                    else stack.enter_context(tempfile.TemporaryDirectory()))
+        out.mkdir(parents=True, exist_ok=True)
         write_outputs(out)
         for path in sorted(out.iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import BadParams
 from .gaussian import FouSpec
-from .jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
+from .jumps import BnsSpec, CtmcSpec, SubordinatorSpec
 from . import models
 from .models import CirSpec, HkMode, ModelSpec
 
@@ -54,7 +54,6 @@ _PRESETS: dict[str, ModelSpec] = {
     "bns": models.Bns(name="bns", mu=0.02,
                       bns=BnsSpec(
                           subordinator=SubordinatorSpec(
-                              SubordinatorKind.COMPOUND_POISSON_EXP,
                               jump_rate=10.0, jump_mean=0.008),
                           decay=2.0)),
     "comte_renault": models.ComteRenault(

@@ -2,7 +2,6 @@
 continuous-time Markov chain volatility."""
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,35 +9,19 @@ import numpy as np
 from .core import BadGenerator, BadParams, Path, RngStream, TimeGrid
 
 
-class SubordinatorKind(enum.Enum):
-    COMPOUND_POISSON_EXP = "COMPOUND_POISSON_EXP"
-    GAMMA = "GAMMA"
-
-
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """Driftless nondecreasing Levy process started at 0.
+    """Driftless compound Poisson subordinator started at 0: jumps at rate
+    jump_rate, exponential sizes with mean jump_mean."""
 
-    COMPOUND_POISSON_EXP: jumps at rate jump_rate, exponential sizes with
-    mean jump_mean. GAMMA: increments Gamma(shape * dt, rate).
-    """
-
-    kind: SubordinatorKind
     jump_rate: float = 0.0
     jump_mean: float = 1.0
-    shape: float = 1.0
-    rate: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite(
-                (self.jump_rate, self.jump_mean, self.shape, self.rate))):
+        if not np.all(np.isfinite((self.jump_rate, self.jump_mean))):
             raise BadParams("subordinator parameters must be finite")
-        if self.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
-            if self.jump_rate < 0 or self.jump_mean <= 0:
-                raise BadParams("need jump_rate >= 0 and jump_mean > 0")
-        else:
-            if self.shape <= 0 or self.rate <= 0:
-                raise BadParams("need shape > 0 and rate > 0")
+        if self.jump_rate < 0 or self.jump_mean <= 0:
+            raise BadParams("need jump_rate >= 0 and jump_mean > 0")
 
 
 @dataclass(frozen=True)
@@ -111,32 +94,18 @@ class CtmcSpec:
 # ---------------------------------------------------------------------------
 # Subordinator sampling
 
-def _cp_jumps(rng_gen, rate: float, mean: float, t0: float, t1: float):
-    """Event-driven compound Poisson jumps on [t0, t1]: (times, sizes)."""
-    span = t1 - t0
-    n = rng_gen.poisson(rate * span) if rate > 0 else 0
+def _scaled_sub_events(spec: BnsSpec, rng_gen, t0: float, t1: float):
+    """Jump times and sizes of s -> L(decay * s) on [t0, t1], drawn
+    exactly: Poisson many events at rate jump_rate * decay, uniform
+    times, exponential sizes."""
+    sub = spec.subordinator
+    rate = sub.jump_rate * spec.decay
+    n = rng_gen.poisson(rate * (t1 - t0)) if rate > 0 else 0
     if n == 0:
         return np.empty(0), np.empty(0)
     times = np.sort(rng_gen.uniform(t0, t1, n))
-    sizes = rng_gen.exponential(mean, n)
+    sizes = rng_gen.exponential(sub.jump_mean, n)
     return times, sizes
-
-
-def _scaled_sub_events(spec: BnsSpec, rng_gen, t0: float, t1: float, dt: float):
-    """Jump times/sizes of s -> L(decay * s) on [t0, t1].
-
-    For the gamma kind, cell increments on a mesh of width dt are placed at
-    cell midpoints; for compound Poisson, events are placed exactly.
-    """
-    sub = spec.subordinator
-    if sub.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
-        return _cp_jumps(rng_gen, sub.jump_rate * spec.decay, sub.jump_mean, t0, t1)
-    n = max(1, int(round((t1 - t0) / dt)))
-    edges = np.linspace(t0, t1, n + 1)
-    widths = np.diff(edges)
-    sizes = rng_gen.gamma(sub.shape * spec.decay * widths, 1.0 / sub.rate)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids, sizes
 
 
 def bns_forward(spec: BnsSpec, v_start: float, grid: TimeGrid, gen) -> np.ndarray:
@@ -148,7 +117,7 @@ def bns_forward(spec: BnsSpec, v_start: float, grid: TimeGrid, gen) -> np.ndarra
     lam = spec.decay
     t0 = grid.t_start
     nodes = np.asarray(grid.nodes)
-    u, j = _scaled_sub_events(spec, gen, t0, grid.t_end, grid.dt)
+    u, j = _scaled_sub_events(spec, gen, t0, grid.t_end)
     weighted = np.concatenate(
         ([v_start], np.cumsum(np.exp(lam * (u - t0)) * j) + v_start))
     idx = np.searchsorted(u, nodes, side="right")
@@ -165,7 +134,7 @@ def gen_bns_vol(grid: TimeGrid, spec: BnsSpec, rng: RngStream) -> Path:
         raise BadParams("volatility grid must start at 0")
     g = rng.generator()
     # Stationary start: jumps on [-window, 0] weighted by e^{decay s}.
-    u0, j0 = _scaled_sub_events(spec, g, -spec.window, 0.0, grid.dt)
+    u0, j0 = _scaled_sub_events(spec, g, -spec.window, 0.0)
     v0 = float(np.sum(np.exp(spec.decay * u0) * j0))
     return Path(grid, bns_forward(spec, v0, grid, g))
 

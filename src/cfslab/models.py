@@ -79,9 +79,10 @@ class CirSpec:
 @dataclass(frozen=True)
 class ConditioningContext:
     """Realized drivers up to the restart node, plus the frozen full paths
-    of drivers independent of the integrating Brownian motion."""
+    of drivers independent of the integrating Brownian motion, of the
+    process `spec`."""
 
-    tag: str
+    spec: ModelSpec
     grid: TimeGrid
     t_index: int
     z_values: np.ndarray  # reported-process history, nodes 0..t_index
@@ -107,10 +108,11 @@ class ValidationReport:
 
 _VALIDATE_GRID = TimeGrid(0.0, 1.0, 256)
 _VALIDATE_PATHS = 100
-# rows per tile of a REDRAW chunk's row passes (fOU, Heston's leverage): an
-# fOU tile's three (8, m) temporaries stay under 5% of a 512-row block, and a
-# 1024-row chunk at 2^11 steps, restart 1024, runs as fast as with 32-row tiles
-# (about 118 ms on a 2-vCPU Xeon) and 7% faster than with 4-row tiles
+# rows per tile of a REDRAW chunk's row passes (fOU, Heston's leverage, the
+# fBm's rises): an fOU tile's three (8, m) temporaries stay under 5% of a
+# 512-row block, and a 1024-row chunk at 2^11 steps, restart 1024, runs as
+# fast as with 32-row tiles (about 118 ms on a 2-vCPU Xeon) and 7% faster
+# than with 4-row tiles
 _TILE_ROWS = 8
 
 
@@ -142,34 +144,46 @@ def _fresh_normals(gen: np.random.Generator, rows: int, m: int,
     return out
 
 
-def _integrate(z0: float, z: np.ndarray, mean: np.ndarray | None,
-               dt: float) -> np.ndarray:
-    """Finish the paths z0 + cumsum0(z * sqrt(dt)) + mean in z, in place:
-    z is `_fresh_normals`' output array, its columns 1: already multiplied
-    by the per-cell integrand K, and mean is H's cumulative mean at nodes
-    1.. (a row, or one row per replication; overwritten), or None."""
-    z *= np.sqrt(dt)
-    np.cumsum(z, axis=1, out=z)
-    if mean is None:
-        z += z0
+def _on_cells(op, z: np.ndarray, law) -> None:
+    """z[:, 1:] = op(z[:, 1:], law) in place, for a chunk z whose column 0
+    is zero and a per-cell `law`: a scalar, a row over the cells or one
+    row per replication. Only the last runs on the strided columns 1:;
+    the others run on the whole block, as a row with 0 for column 0,
+    which numpy does about twice as fast."""
+    if np.ndim(law) == 2:
+        op(z[:, 1:], law, out=z[:, 1:])
     else:
-        mean += z0
-        z[:, 0] += z0
-        z[:, 1:] += mean
+        op(z, np.concatenate(([0.0], np.broadcast_to(law, z.shape[1] - 1))),
+           out=z)
+
+
+def _integrate(z0: float, z: np.ndarray, c, s) -> np.ndarray:
+    """Finish the paths z0 + cumsum0(c + s xi) in z, in place: z is
+    `_fresh_normals`' output array with the normals xi in columns 1:, c
+    the per-cell mean (or None) and s the per-cell scale, each a scalar,
+    a row over the cells or one row per replication (`_on_cells`)."""
+    if np.ndim(s) == 0:
+        z *= s  # column 0 is zero; numpy's scalar loop is faster still
+    else:
+        _on_cells(np.multiply, z, s)
+    if c is not None:
+        _on_cells(np.add, z, c)
+    np.cumsum(z, axis=1, out=z)
+    z += z0
     return z
 
 
-def _fbm_tails(hurst: float, ctx: ConditioningContext, xi: np.ndarray) -> np.ndarray:
-    """fBm at the nodes after the restart, one row per row of the
-    C-contiguous standard normals `xi`, from its exact conditional law
-    given the frozen history: L22 xi + L21 z_p, with z_p the history's own
-    normals up to the restart (`fbm_conditional_factors`); returned in
-    `xi`."""
+def _fbm_tails(hurst: float, ctx: ConditioningContext,
+               xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact conditional law of the fBm at the nodes after the
+    restart, given the frozen history, as mean + noise: the noise L22 xi,
+    one row per row of the C-contiguous standard normals `xi` and
+    returned in `xi`, and the mean row L21 z_p, with z_p the history's own
+    normals up to the restart (`fbm_conditional_factors`)."""
     i0 = ctx.t_index
     head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
-    tails = lower_tri_matmul(xi, factor)
-    tails += head[i0:] @ ctx.frozen["fbm_normals"][:i0]
-    return tails
+    return (lower_tri_matmul(xi, factor),
+            head[i0:] @ ctx.frozen["fbm_normals"][:i0])
 
 
 def _validation_paths(spec: ModelSpec):
@@ -186,16 +200,18 @@ def _validation_paths(spec: ModelSpec):
 class ModelSpec:
     """A named process. Each subclass is one model family, declares only its
     own parameters and, if it has drivers independent of W, `drivers(grid,
-    rng)`. A family Z = H + int K dW states its increment law given the
-    drivers frozen in `ctx`: `increments(ctx, grid_tail, gen, rows, mode)`
-    returns `_fresh_normals`' block with columns 1: multiplied by K, and
-    H's cumulative mean at nodes 1.. or None, redrawing the drivers'
-    future in REDRAW mode; `continuation` finishes it with `_integrate`. A
-    family outside that form overrides `continuation` instead. Price
-    families report the log price.
+    rng)`. A family Z = H + int K dW states its law once, per cell, given
+    the drivers frozen in `ctx`: `increments(ctx, grid_tail, gen, rows,
+    mode)` returns `_fresh_normals`' block of normals xi, the per-cell
+    mean c (H's rise over the cell, or None) and the per-cell scale s (K
+    times sqrt(dt)), redrawing the drivers' future in REDRAW mode;
+    `continuation` finishes z_t + cumsum0(c + s xi) with `_integrate`,
+    and `cell_noise_scale` reads |s| off the same law. A family outside
+    that form overrides `continuation` instead. Price families report the
+    log price.
     """
 
-    tag: ClassVar[str]  # family name in contexts and in `cfslab models`
+    tag: ClassVar[str]  # family name in `cfslab models`, default `name`
     summary: ClassVar[str]  # its line in `cfslab models`
     positive_state: ClassVar[bool] = False  # reported process > 0 in R
     z0: ClassVar[float] = 0.0  # reported process at node 0
@@ -212,13 +228,10 @@ class ModelSpec:
     def continuation(self, ctx, grid_tail, gen, rows, mode=None):
         """`rows` continuations drawn from `gen` given `ctx`, in `mode`: by
         default the spec's `hk_mode`, FIXED for a family without one."""
-        z, mean = self.increments(
+        z, c, s = self.increments(
             ctx, grid_tail, gen, rows,
             mode or getattr(self, "hk_mode", HkMode.FIXED))
-        return _integrate(ctx.z_t, z, mean, grid_tail.dt)
-
-    def noise_scale(self, ctx, grid_tail) -> np.ndarray | None:
-        return None  # see `cell_noise_scale`
+        return _integrate(ctx.z_t, z, c, s)
 
     def analytic_zero(self, ctx, target, eps) -> str | None:
         return None  # reason the tube around `target` is provably empty
@@ -252,24 +265,24 @@ class MixedFbm(ModelSpec):
         return {"fbm": fbm.values, "fbm_normals": z}
 
     def increments(self, ctx, grid_tail, gen, rows, mode):
-        # K = 1; H is the weighted fBm's rise since the restart node
+        # K = 1; c is the weighted fBm's rise over each cell
+        s = np.sqrt(grid_tail.dt)
         if self.fbm_weight == 0.0:
-            return _fresh_normals(gen, rows, grid_tail.n_steps)[0], None
-        fbm = ctx.frozen["fbm"]
+            return _fresh_normals(gen, rows, grid_tail.n_steps)[0], None, s
+        fbm = ctx.frozen["fbm"][ctx.t_index :]
         if mode is HkMode.FIXED:
             (w,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-            rel = fbm[ctx.t_index + 1 :] - fbm[ctx.t_index]
-        else:
-            w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
-            rel = _fbm_tails(self.hurst, ctx, xi_f)
-            rel -= fbm[ctx.t_index]
-        rel *= self.fbm_weight
-        return w, rel
-
-    def noise_scale(self, ctx, grid_tail):
-        if self.fbm_weight == 0.0:
-            return np.full(grid_tail.n_steps, np.sqrt(grid_tail.dt))
-        return None
+            return w, self.fbm_weight * np.diff(fbm), s
+        w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
+        c, mean = _fbm_tails(self.hurst, ctx, xi_f)
+        rise = np.diff(mean, prepend=fbm[0])
+        # the noise's levels to rises, in row tiles that stay in cache
+        for lo in range(0, rows, _TILE_ROWS):
+            tile = c[lo : lo + _TILE_ROWS]
+            tile[:, 1:] -= tile[:, :-1]
+            tile += rise
+            tile *= self.fbm_weight
+        return w, c, s
 
     def checks(self):
         return (ValidationCheck(
@@ -285,18 +298,11 @@ class WienerIntegral(ModelSpec):
     k_fn: Callable[[np.ndarray], np.ndarray]
     h_fn: Callable[[np.ndarray], np.ndarray] = np.zeros_like
 
-    def _k(self, grid_tail):
-        """The integrand at the left point of every tail cell."""
-        return np.asarray(self.k_fn(np.asarray(grid_tail.nodes)), dtype=float)[:-1]
-
     def increments(self, ctx, grid_tail, gen, rows, mode):
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        z[:, 1:] *= self._k(grid_tail)
-        hvals = self.h_fn(np.asarray(grid_tail.nodes))
-        return z, hvals[1:] - hvals[0]
-
-    def noise_scale(self, ctx, grid_tail):
-        return np.abs(self._k(grid_tail)) * np.sqrt(grid_tail.dt)
+        t = np.asarray(grid_tail.nodes)
+        k = np.asarray(self.k_fn(t), dtype=float)[:-1]  # at the left points
+        return z, np.diff(self.h_fn(t)), k * np.sqrt(grid_tail.dt)
 
     def checks(self):
         kv = self.k_fn(np.asarray(_VALIDATE_GRID.nodes))
@@ -316,7 +322,8 @@ class WienerIntegral(ModelSpec):
 @dataclass(frozen=True, kw_only=True)
 class _VolPrice(ModelSpec):
     """Log price with d log P = (mu - g^2/2) dt + g dW and volatility g:
-    K = g and H = int (mu - g^2/2) dt, at the left point of every cell.
+    per cell, s = g sqrt(dt) and c = (mu - g^2/2) dt, with g at the cell's
+    left point.
 
     A family supplies `drivers(grid, rng)`, its frozen drivers with g at
     the nodes under "g", and for REDRAW either `_markov_vol(ctx, grid_tail,
@@ -346,12 +353,12 @@ class _VolPrice(ModelSpec):
             g = ctx.frozen["g"][ctx.t_index : -1]
         else:
             z, g = self._redraw(ctx, grid_tail, gen, rows)
-        z[:, 1:] *= g
-        drift = np.square(g, out=g if g.ndim > 1 else None)
-        drift *= 0.5
-        np.subtract(self.mu, drift, out=drift)
-        drift *= grid_tail.dt
-        return z, np.cumsum(drift, axis=-1, out=drift)
+        # c + s xi = mu dt + s (xi - s/2): the normals take the shift, so
+        # that s, in g's buffer, is the one array beside the chunk's
+        half = np.multiply(g, 0.5 * np.sqrt(grid_tail.dt),
+                           out=g if g.ndim > 1 else None)
+        _on_cells(np.subtract, z, half)
+        return z, self.mu * grid_tail.dt, np.add(half, half, out=half)
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # Markov volatility redrawn per replication (event-driven), drawn
@@ -466,10 +473,11 @@ class ComteRenault(_VolPrice):
         i0 = ctx.t_index
         z, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
         fbm = ctx.frozen["fbm"]
-        tails = _fbm_tails(self.fou.hurst, ctx, xi_f)
+        tails, mean = _fbm_tails(self.fou.hurst, ctx, xi_f)
         cum0 = fou_quadrature(ctx.grid, self.fou, fbm[: i0 + 1])[-1]
         for lo in range(0, rows, _TILE_ROWS):
             g = tails[lo : lo + _TILE_ROWS]
+            g += mean
             b = np.concatenate((np.full((len(g), 1), fbm[i0]), g[:, :-1]), axis=1)
             np.exp(fou_from_fbm(ctx.grid, self.fou, b, i0, cum0), out=g)
         return z, tails
@@ -552,8 +560,8 @@ class Doleans(ModelSpec):
     def continuation(self, ctx, grid_tail, gen, rows, mode=None):
         # z_t exp(W - t/2) since the restart node
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-        tail_t = np.asarray(grid_tail.nodes)
-        z = _integrate(0.0, z, -0.5 * (tail_t[1:] - tail_t[0]), grid_tail.dt)
+        dt = grid_tail.dt
+        z = _integrate(0.0, z, -0.5 * dt, np.sqrt(dt))
         np.exp(z, out=z)
         z *= ctx.z_t
         return z
@@ -611,10 +619,10 @@ def simulate(
     frozen, give the joint law)."""
     tail_grid(grid, t_index)  # BadParams unless 0 <= t_index < n_steps
     frozen = spec.drivers(grid, rng)
-    start = ConditioningContext(spec.tag, grid, 0, np.array([spec.z0]), frozen)
+    start = ConditioningContext(spec, grid, 0, np.array([spec.z0]), frozen)
     z = spec.continuation(start, grid, rng.child(0).generator(), 1,
                           HkMode.FIXED)[0]
-    ctx = ConditioningContext(spec.tag, grid, t_index, z[: t_index + 1].copy(),
+    ctx = ConditioningContext(spec, grid, t_index, z[: t_index + 1].copy(),
                               frozen)
     return Path(grid, z), ctx
 
@@ -622,10 +630,11 @@ def simulate(
 def check_context(
     spec: ModelSpec, ctx: ConditioningContext, grid_tail: TimeGrid
 ) -> None:
-    """Raise IncompatibleContext unless `ctx` was captured for the family
-    of `spec` and `grid_tail` extends its grid from the restart node."""
-    if spec.tag != ctx.tag:
-        raise IncompatibleContext(f"context is for {ctx.tag}, spec is {spec.tag}")
+    """Raise IncompatibleContext unless `ctx` was captured for `spec`
+    itself, the same family with the same parameters, and `grid_tail`
+    extends its grid from the restart node."""
+    if spec != ctx.spec:
+        raise IncompatibleContext(f"context is for {ctx.spec!r}, spec is {spec!r}")
     if not grids_equal(tail_grid(ctx.grid, ctx.t_index), grid_tail):
         raise IncompatibleContext(
             f"grid_tail {grid_tail} does not extend the context grid from "
@@ -636,14 +645,19 @@ def check_context(
 def cell_noise_scale(
     spec: ModelSpec, ctx: ConditioningContext, grid_tail: TimeGrid
 ) -> np.ndarray | None:
-    """Per-cell noise scale when the continuation is, conditionally on its
-    node values, a Brownian bridge inside every cell.
+    """Per-cell noise scale |s| when the continuation is, conditionally on
+    its node values, a Brownian bridge inside every cell.
 
     Used for within-cell excursion correction of discretely monitored
-    sup-norm statistics. Returns None for models whose local behavior is
-    not Brownian with a deterministic scale (then no correction applies).
+    sup-norm statistics. That holds when the family states its law (c, s)
+    through `increments` and `ctx` freezes no driver, so that s is
+    deterministic; |s| is then read off the law of zero rows, which draws
+    no normals. Otherwise returns None (then no correction applies).
     """
-    return spec.noise_scale(ctx, grid_tail)
+    if ctx.frozen or not hasattr(spec, "increments"):
+        return None
+    _, _, s = spec.increments(ctx, grid_tail, None, 0, HkMode.FIXED)
+    return np.abs(np.broadcast_to(s, grid_tail.n_steps))
 
 
 def iter_continuations(

@@ -279,7 +279,7 @@ def timechanged_smallball(
         raise DegenerateClock("integrand has zero quadratic variation")
     grid_u = make_grid(0.0, float(g[-1]), k.grid.n_steps)
     target_u = np.interp(np.asarray(grid_u.nodes), g, f.values)
-    ctx0 = ConditioningContext(MixedFbm.tag, grid_u, 0, np.zeros(1), {})
+    ctx0 = ConditioningContext(MixedFbm(), grid_u, 0, np.zeros(1), {})
     query = SmallBallQuery(0, Path(grid_u, target_u), eps)
-    return estimate_many(MixedFbm(), ctx0, [query], reps, rng)[0]
+    return estimate_many(ctx0.spec, ctx0, [query], reps, rng)[0]
 

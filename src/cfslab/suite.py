@@ -131,6 +131,9 @@ class BatteryTemplate:
                 raise BadParams(f"{name} must be positive and finite: {value}")
         if self.n_segments < 1:
             raise BadParams(f"n_segments must be >= 1, got {self.n_segments}")
+        # the grid's own rule names n_steps and t_end; the restart check
+        # below would blame t_fracs for a bad n_steps
+        make_grid(0.0, self.t_end, self.n_steps)
         for t_frac in self.t_fracs:
             restart_node(t_frac, self.n_steps, "t_fracs")
 

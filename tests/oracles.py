@@ -8,10 +8,10 @@ from cfslab.core import (
     CfsError,
     GridMismatch,
     Path,
+    blocks,
     grids_equal,
     make_estimate,
 )
-from cfslab.jumps import SubordinatorKind
 from cfslab.smallball import _bridge_survival
 
 
@@ -19,38 +19,48 @@ class NotPowerOfTwo(CfsError):
     pass
 
 
-def gen_brownian(grid, rng) -> Path:
-    """Standard Brownian motion started at 0 at the first grid node."""
-    g = rng.generator()
-    inc = g.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return Path(grid, values)
+def brownian_rows(grid, gen, rows: int) -> np.ndarray:
+    """`rows` standard Brownian paths started at 0 at the first grid node,
+    one per row, each the cumulative sum of its increments, drawn from the
+    numpy Generator `gen`."""
+    values = np.zeros((rows, grid.n_nodes))
+    inc = gen.normal(0.0, np.sqrt(grid.dt), (rows, grid.n_steps))
+    np.cumsum(inc, axis=1, out=values[:, 1:])
+    return values
 
 
-def gen_brownian_alt(grid, rng) -> Path:
-    """Brownian motion by midpoint (Levy) refinement.
+def brownian_alt_rows(grid, gen, rows: int) -> np.ndarray:
+    """Brownian paths as `brownian_rows`, by midpoint (Levy) refinement.
 
-    Same law as `gen_brownian` but an algorithmically distinct
-    construction: the terminal value is drawn first and interior nodes are
-    filled in by conditional bisection. n_steps must be a power of two.
+    Same law but an algorithmically distinct construction: the terminal
+    values are drawn first and interior nodes are filled in by conditional
+    bisection, one level at a time over all rows. n_steps must be a power
+    of two.
     """
     n = grid.n_steps
     if n & (n - 1) != 0:
         raise NotPowerOfTwo(f"n_steps {n} is not a power of two")
-    g = rng.generator()
-    values = np.zeros(n + 1)
-    values[n] = np.sqrt(grid.span) * g.standard_normal()
+    values = np.zeros((rows, n + 1))
+    values[:, n] = np.sqrt(grid.span) * gen.standard_normal(rows)
     step = n
     while step > 1:
         half = step // 2
-        left = np.arange(0, n, step)
-        mid = left + half
-        right = left + step
+        left, right = values[:, 0:n:step], values[:, step::step]
         span = step * grid.dt
-        noise = g.standard_normal(left.size) * np.sqrt(span / 4.0)
-        values[mid] = 0.5 * (values[left] + values[right]) + noise
+        noise = gen.standard_normal((rows, n // step)) * np.sqrt(span / 4.0)
+        values[:, half::step] = 0.5 * (left + right) + noise
         step = half
-    return Path(grid, values)
+    return values
+
+
+def gen_brownian(grid, rng) -> Path:
+    """Standard Brownian motion started at 0 at the first grid node."""
+    return Path(grid, brownian_rows(grid, rng.generator(), 1)[0])
+
+
+def gen_brownian_alt(grid, rng) -> Path:
+    """One path of `brownian_alt_rows`, drawn from rng.generator()."""
+    return Path(grid, brownian_alt_rows(grid, rng.generator(), 1)[0])
 
 
 def ito_integral(k: Path, w: Path) -> Path:
@@ -61,19 +71,19 @@ def ito_integral(k: Path, w: Path) -> Path:
     return Path(k.grid, np.concatenate(([0.0], np.cumsum(inc))))
 
 
-def mc_tube_probability(sample_path, grid, f: Path, eps: float, reps: int, rng):
+def mc_tube_probability(sample_rows, grid, f: Path, eps: float, reps: int,
+                        rng):
     """Plain Monte Carlo tube estimate for an arbitrary path sampler.
 
-    `sample_path(grid, stream)` must return a Path; replication r uses
-    stream rng.child(r).
+    `sample_rows(grid, gen, rows)` must return `rows` paths, one per row;
+    the replications of stream block b (`core.blocks`) are drawn from
+    rng.child(b).generator().
     """
     hits = 0
-    fv = f.values
-    for r in range(reps):
-        p = sample_path(grid, rng.child(r))
-        dev = float(np.max(np.abs(p.values - p.values[0] - fv)))
-        if dev < eps:
-            hits += 1
+    for _, block in blocks(rng, reps):
+        p = sample_rows(grid, block.stream.generator(), len(block))
+        dev = np.max(np.abs(p - p[:, :1] - f.values), axis=1)
+        hits += int(np.count_nonzero(dev < eps))
     return make_estimate(hits, reps)
 
 
@@ -148,6 +158,4 @@ def report_passed(report) -> bool:
 
 def unit_mean(sub) -> float:
     """E L(1) of the subordinator `sub`."""
-    if sub.kind is SubordinatorKind.COMPOUND_POISSON_EXP:
-        return sub.jump_rate * sub.jump_mean
-    return sub.shape / sub.rate
+    return sub.jump_rate * sub.jump_mean

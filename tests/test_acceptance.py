@@ -8,9 +8,10 @@ minutes, not seconds.
 import numpy as np
 import pytest
 from oracles import (
+    brownian_alt_rows,
+    brownian_rows,
     fbm_covariance,
     gen_brownian,
-    gen_brownian_alt,
     ito_integral,
     mc_tube_probability,
     unit_mean,
@@ -28,7 +29,6 @@ from cfslab.gaussian import FbmSpec, _fbm_cholesky
 from cfslab.integrate import rs_parts_form
 from cfslab.jumps import (
     BnsSpec,
-    SubordinatorKind,
     SubordinatorSpec,
     gen_bns_vol,
 )
@@ -235,8 +235,7 @@ def test_criterion_6_fbm_exactness():
 
 def test_criterion_7_bns_bounds():
     grid = make_grid(0.0, 1.0, 64)
-    sub = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
-                           jump_rate=10.0, jump_mean=0.008)
+    sub = SubordinatorSpec(jump_rate=10.0, jump_mean=0.008)
     spec = BnsSpec(subordinator=sub, decay=2.0)
     floor_ok = True
     finals = np.empty(REPS)
@@ -267,9 +266,9 @@ def test_criterion_8_law_invariance():
     ok = True
     details = []
     for i, (f, eps) in enumerate(tubes):
-        a = mc_tube_probability(gen_brownian, grid, f, eps, REPS,
+        a = mc_tube_probability(brownian_rows, grid, f, eps, REPS,
                                 RngStream(1008, i))
-        b = mc_tube_probability(gen_brownian_alt, grid, f, eps, REPS,
+        b = mc_tube_probability(brownian_alt_rows, grid, f, eps, REPS,
                                 RngStream(1008, 100 + i))
         ok = ok and _overlap(a, b)
         details.append(f"tube {i}: {a.p_hat:.4f} vs {b.p_hat:.4f}")

@@ -257,6 +257,22 @@ class TestBatteryCommand:
         assert "eps_scales" in err
         assert not (tmp_path / "multi_battery_1.csv").exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("n_steps = 0", "n_steps"), ("n_steps = -4", "n_steps"),
+        ("t_end = 0.0", "t_end"), ("t_end = -1.0", "t_end")])
+    def test_bad_grid_key_is_named(self, tmp_path, capsys, line, key):
+        # rejected before any cell runs, under the key's own name rather
+        # than as a restart that t_fracs cannot make
+        cfg = _cfg(tmp_path, "models = doleans\npilot_reps = 200\n"
+                   f"{line}\n")
+        code, out, err = run(
+            ["battery", "--config", cfg, "--seed", "1", "--reps", "1000",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert key in err and "t_fracs" not in err
+        assert out == ""
+        assert not list(tmp_path.glob("*_battery_*"))
+
     def test_summary_names_workers_used_and_requested(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, self.CFG)
         code, out, _ = run(

@@ -16,17 +16,18 @@ SCRIPT = SCRIPTS / "golden_outputs.py"
 
 
 def test_lists_every_output_sorted(tmp_path):
-    run = subprocess.run([sys.executable, str(SCRIPT), "--keep", str(tmp_path)],
+    out = tmp_path / "golden" / "outputs"  # --keep creates it, parents too
+    run = subprocess.run([sys.executable, str(SCRIPT), "--keep", str(out)],
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     listed = [line.split("  ")[1] for line in lines]
-    written = sorted(p.name for p in tmp_path.iterdir())
+    written = sorted(p.name for p in out.iterdir())
     assert written and listed == written
     for line in lines:
         digest, name = line.split("  ")
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def _compare(parent: Path, change: Path) -> list[str]:

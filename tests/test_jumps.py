@@ -9,21 +9,18 @@ from cfslab.core import BadGenerator, BadParams, RngStream, make_grid
 from cfslab.jumps import (
     BnsSpec,
     CtmcSpec,
-    SubordinatorKind,
     SubordinatorSpec,
     ctmc_states,
     gen_bns_vol,
 )
 
 GRID = make_grid(0.0, 1.0, 64)
-CP = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
-                      jump_rate=5.0, jump_mean=0.5)
-GAMMA = SubordinatorSpec(SubordinatorKind.GAMMA, shape=3.0, rate=2.0)
+CP = SubordinatorSpec(jump_rate=5.0, jump_mean=0.5)
 
 
 class TestSubordinator:
     # the subordinator enters only as the driver of the BNS volatility
-    @pytest.mark.parametrize("spec", [CP, GAMMA], ids=["cp", "gamma"])
+    @pytest.mark.parametrize("spec", [CP], ids=["cp"])
     def test_undecayed_vol_nondecreasing(self, spec):
         # e^{decay t} V(t) = V(0) + sum of weighted jumps, each >= 0
         bns = BnsSpec(subordinator=spec, decay=1.0)
@@ -32,7 +29,7 @@ class TestSubordinator:
             u = grow * gen_bns_vol(GRID, bns, RngStream(1, 0).child(r)).values
             assert np.all(np.diff(u) >= -1e-12 * u[:-1])
 
-    @pytest.mark.parametrize("spec", [CP, GAMMA], ids=["cp", "gamma"])
+    @pytest.mark.parametrize("spec", [CP], ids=["cp"])
     def test_unit_mean(self, spec):
         # E V(t) = int e^{-decay (t-s)} decay E L(1) ds = E L(1)
         bns = BnsSpec(subordinator=spec, decay=1.0)
@@ -44,18 +41,16 @@ class TestSubordinator:
         assert abs(np.mean(finals) - unit_mean(spec)) < 4 * se
 
     def test_zero_rate_is_flat(self):
-        spec = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
-                                jump_rate=0.0, jump_mean=1.0)
+        spec = SubordinatorSpec(jump_rate=0.0, jump_mean=1.0)
         bns = BnsSpec(subordinator=spec, decay=2.0)
         v = gen_bns_vol(GRID, bns, RngStream(3, 0)).values
         assert np.all(v == 0.0)
 
     def test_param_validation(self):
         with pytest.raises(BadParams):
-            SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
-                             jump_rate=-1.0, jump_mean=1.0)
+            SubordinatorSpec(jump_rate=-1.0, jump_mean=1.0)
         with pytest.raises(BadParams):
-            SubordinatorSpec(SubordinatorKind.GAMMA, shape=0.0, rate=1.0)
+            SubordinatorSpec(jump_rate=1.0, jump_mean=0.0)
 
 
 class TestBnsVol:

@@ -24,7 +24,7 @@ from cfslab.gaussian import (
     fbm_conditional_factors,
     fou_from_fbm,
 )
-from cfslab.jumps import BnsSpec, CtmcSpec, SubordinatorKind, SubordinatorSpec
+from cfslab.jumps import BnsSpec, CtmcSpec, SubordinatorSpec
 from cfslab.models import (
     FAMILIES,
     Bns,
@@ -484,8 +484,7 @@ class TestValidateSpec:
             WienerIntegral()
 
 
-CP = SubordinatorSpec(SubordinatorKind.COMPOUND_POISSON_EXP,
-                      jump_rate=10.0, jump_mean=0.008)
+CP = SubordinatorSpec(jump_rate=10.0, jump_mean=0.008)
 # one constructor per float spec field, called with the field's value
 NONFINITE_FIELD = {
     "cir.kappa": lambda x: CirSpec(kappa=x, theta=0.04, xi=0.2, v0=0.04),
@@ -495,14 +494,9 @@ NONFINITE_FIELD = {
     "fou.alpha": lambda x: FouSpec(hurst=0.7, alpha=x, sigma=0.5),
     "fou.sigma": lambda x: FouSpec(hurst=0.7, alpha=1.0, sigma=x),
     "fou.v0": lambda x: FouSpec(hurst=0.7, alpha=1.0, sigma=0.5, v0=x),
-    "subordinator.jump_rate": lambda x: SubordinatorSpec(
-        SubordinatorKind.COMPOUND_POISSON_EXP, jump_rate=x),
-    "subordinator.jump_mean": lambda x: SubordinatorSpec(
-        SubordinatorKind.COMPOUND_POISSON_EXP, jump_rate=1.0, jump_mean=x),
-    "subordinator.shape": lambda x: SubordinatorSpec(
-        SubordinatorKind.GAMMA, shape=x),
-    "subordinator.rate": lambda x: SubordinatorSpec(
-        SubordinatorKind.GAMMA, rate=x),
+    "subordinator.jump_rate": lambda x: SubordinatorSpec(jump_rate=x),
+    "subordinator.jump_mean": lambda x: SubordinatorSpec(jump_rate=1.0,
+                                                         jump_mean=x),
     "bns.decay": lambda x: BnsSpec(subordinator=CP, decay=x),
     "bns.window": lambda x: BnsSpec(subordinator=CP, decay=2.0, window=x),
     "price.mu": lambda x: Bns(mu=x, bns=BnsSpec(subordinator=CP, decay=2.0)),

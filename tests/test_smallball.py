@@ -1,4 +1,5 @@
 """Conditional tube-probability estimation and its oracles."""
+import dataclasses
 import sys
 import threading
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gen_brownian, mc_tube_probability, tube_hits
+from oracles import brownian_rows, mc_tube_probability, tube_hits
 
 from cfslab import core, gaussian, models
 from cfslab.catalog import affine_integrand, get_preset
@@ -25,6 +26,7 @@ from cfslab.core import (
     tail_grid,
 )
 from cfslab.models import (
+    CirSpec,
     HkMode,
     WienerIntegral,
     cell_noise_scale,
@@ -135,6 +137,26 @@ class TestAnalyticZero:
         assert detect_analytic_zero(spec, ctx, q) == REASON_POSITIVITY
         with pytest.raises(IncompatibleContext):
             estimate_many(spec, ctx, [q], 10, RngStream(2, 1))
+
+    @pytest.mark.parametrize("captured, other", [
+        ("mixed_fbm_h025", get_preset("mixed_fbm_h075")),
+        ("heston", dataclasses.replace(get_preset("heston"), cir=CirSpec(
+            kappa=3.0, theta=0.04, xi=0.2, v0=0.09))),
+    ], ids=["mixed_fbm_hurst", "heston_v0"])
+    def test_context_of_another_parametrization_rejected(self, captured,
+                                                         other):
+        # the same family is not enough: a REDRAW would apply the other
+        # spec's law to the frozen drivers of this one
+        captured, ctx = _ctx(captured, t_index=128, seed=4)
+        tail = tail_grid(GRID, 128)
+        with pytest.raises(IncompatibleContext):
+            models.continue_chunk(other, ctx, tail,
+                                  core.Block(RngStream(4, 1), 8))
+        with pytest.raises(IncompatibleContext):
+            estimate_many(other, ctx, [SmallBallQuery(
+                128, constant_path(tail, 0.0), 0.5)], 8, RngStream(4, 1))
+        assert models.continue_chunk(captured, ctx, tail, core.Block(
+            RngStream(4, 1), 8)).shape == (8, tail.n_nodes)
 
     def test_no_reason_for_feasible_tube(self):
         spec, ctx = _ctx("brownian")
@@ -507,7 +529,7 @@ class TestTimechanged:
 class TestMcTube:
     def test_brownian_sampler_matches_series(self):
         f = constant_path(GRID, 0.0)
-        est = mc_tube_probability(gen_brownian, GRID, f, 1.0, 3000,
+        est = mc_tube_probability(brownian_rows, GRID, f, 1.0, 3000,
                                   RngStream(12, 1))
         # node-monitored sup is slightly optimistic; allow the known bias
         assert est.p_hat == pytest.approx(0.37078, abs=0.05)

@@ -12,6 +12,7 @@ from cfslab.catalog import get_preset
 from cfslab.cli import EXIT_NUMERICAL, EXIT_OK, main
 from cfslab.core import (
     BadParams,
+    CfsError,
     Classification,
     CovarianceNotPD,
     EmptyBattery,
@@ -103,6 +104,15 @@ class TestBattery:
         with pytest.raises(BadParams, match=field):
             run_battery([get_preset("doleans")],
                         BatteryTemplate(**{field: values}), 1000, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 0), ("t_end", 0.0), ("t_end", -1.0)])
+    def test_bad_grid_rejected_under_its_key(self, field, value):
+        # by the grid's own rule, before any cell runs; a bad n_steps is
+        # not reported as a restart that t_fracs cannot make
+        with pytest.raises(CfsError) as exc:
+            BatteryTemplate(**{field: value})
+        assert field in str(exc.value) and "t_fracs" not in str(exc.value)
 
     @pytest.mark.parametrize("models", [
         pytest.param([get_preset("brownian")] * 2, id="same-preset"),
