@@ -134,13 +134,14 @@ def grids_equal(a: TimeGrid, b: TimeGrid, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class Path:
-    """A real-valued sample path on a time grid."""
+    """A real-valued sample path on a time grid, holding a read-only copy
+    of the values it is given."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.n_nodes,):
             raise GridMismatch(
                 f"path has {v.shape} values for a grid of {self.grid.n_nodes} nodes"

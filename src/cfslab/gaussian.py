@@ -1,9 +1,9 @@
 """Exact-in-law Gaussian path generators, in numpy alone: fractional
-Brownian motion from the Cholesky factor of its grid covariance (built in
-O(n^2) by the Schur algorithm on the Toeplitz covariance of its increments)
-and its exact conditional continuation from blocks of that factor,
-fractional Ornstein-Uhlenbeck by pathwise integration by parts, and
-Brownian bridges.
+Brownian motion as the cumulative sum of its increments, drawn from the
+Cholesky factor of their Toeplitz covariance (built in O(n^2) by the Schur
+algorithm), and the exact conditional law of its future increments from
+blocks of that factor, fractional Ornstein-Uhlenbeck by pathwise
+integration by parts, and Brownian bridges.
 """
 from __future__ import annotations
 
@@ -138,21 +138,15 @@ def _cache_one(fn):
 
 
 @_cache_one
-def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
-    """Lower Cholesky factor of the fBm covariance at nodes 1..n_steps.
-
-    The increments have the Toeplitz covariance T of `_fgn_autocovariance`,
-    whose lower factor U^T comes from `_toeplitz_schur`. The cumulative sum
-    along each row of U is U S^T, with S the lower triangle of ones, and
-    its transpose S U^T is lower triangular with the positive diagonal of
-    U^T and S U^T U S^T = S T S^T = R, so it is the Cholesky factor of R.
-    It is returned as that read-only, Fortran-ordered transpose.
-    """
+def _fgn_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """Lower Cholesky factor U^T of the Toeplitz covariance T of the fBm's
+    rises over the cells (`_fgn_autocovariance`, `_toeplitz_schur`), as the
+    read-only, Fortran-ordered transpose of U: U^T z are the rises for
+    standard normals z, and their cumulative sum is the fBm at nodes 1.."""
     if grid.t_start != 0.0:
         raise BadParams("fBm grid must start at 0")
     _blas()  # one BLAS thread, before the factor's first multiply
     u = _toeplitz_schur(_fgn_autocovariance(hurst, grid))
-    np.cumsum(u, axis=1, out=u)
     u.setflags(write=False)
     return u.T
 
@@ -160,22 +154,23 @@ def _fbm_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
 def fbm_conditional_factors(
     hurst: float, grid: TimeGrid, t_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of the cached Cholesky factor [[L11, 0], [L21, L22]] of the
-    whole history, for sampling the nodes after t_index given those up to
-    it: read-only views of its first t_index columns C = [[L11], [L21]] and
-    of L = L22. A `gen_fbm` history is p = L11 z_p for its normals z_p up
-    to t_index, so the future nodes are L21 z_p + L @ xi for standard normal
-    xi (L21 z_p = R_fp R_pp^-1 p, L L^T = R_ff - R_fp R_pp^-1 R_pf): nothing
-    is solved or factored again, and L is lower triangular. The blocks are
-    not cached apart from the factor, so they keep no second factor alive;
-    `cache_info` and `cache_clear` are the factor cache's.
+    """Blocks of the cached factor U^T = [[G11, 0], [G21, G22]] of the
+    history's rises, for sampling the rises after t_index given those up
+    to it: read-only views of its first t_index columns C = [[G11], [G21]]
+    and of G = G22. A `gen_fbm` history's rises up to t_index are r_p =
+    G11 z_p for its normals z_p, so the future rises are G21 z_p + G @ xi
+    for standard normal xi (G21 z_p = T_fp T_pp^-1 r_p, G G^T = T_ff -
+    T_fp T_pp^-1 T_pf): nothing is solved or factored again, and G is lower
+    triangular. The blocks are not cached apart from the factor, so they
+    keep no second factor alive; `cache_info` and `cache_clear` are the
+    factor cache's.
     """
-    factor = _fbm_cholesky(hurst, grid)
+    factor = _fgn_cholesky(hurst, grid)
     return factor[:, :t_index], factor[t_index:, t_index:]
 
 
-fbm_conditional_factors.cache_info = _fbm_cholesky.cache_info
-fbm_conditional_factors.cache_clear = _fbm_cholesky.cache_clear
+fbm_conditional_factors.cache_info = _fgn_cholesky.cache_info
+fbm_conditional_factors.cache_clear = _fgn_cholesky.cache_clear
 
 
 # CBLAS enum values: column-major order, A on the left, A lower triangular,
@@ -198,7 +193,7 @@ def _blas() -> _Blas | None:
     library numpy's `matmul` calls. Loading it sets that BLAS to one
     thread for the life of the process: cfslab runs its own processes and
     threads, and the multiply's bytes depend on the BLAS thread count.
-    `_fbm_cholesky` calls this before cfslab's first BLAS call. A numpy
+    `_fgn_cholesky` calls this before cfslab's first BLAS call. A numpy
     built on MKL, Accelerate or a system BLAS bundles no such library: then
     nothing is set, and `lower_tri_matmul` uses `matmul` panels.
     """
@@ -283,11 +278,13 @@ def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
 def gen_fbm(grid: TimeGrid, spec: FbmSpec,
             rng: RngStream) -> tuple[Path, np.ndarray]:
     """Fractional Brownian motion, exact on the grid (Cholesky sampling),
-    and the standard normals z it was drawn from: its nodes 1.. are
-    factor @ z, so z is its driving noise (see `fbm_conditional_factors`)."""
-    factor = _fbm_cholesky(spec.hurst, grid)
+    and the standard normals z it was drawn from: its rises over the cells
+    are U^T z by `lower_tri_matmul`, and its nodes 1.. their cumulative
+    sum, so z is its driving noise (see `fbm_conditional_factors`)."""
+    factor = _fgn_cholesky(spec.hurst, grid)
     z = rng.generator().standard_normal(grid.n_steps)
-    return Path(grid, np.concatenate(([0.0], factor @ z))), z
+    rises = lower_tri_matmul(z[None].copy(), factor)[0]
+    return Path(grid, np.concatenate(([0.0], np.cumsum(rises)))), z
 
 
 def fou_from_fbm(grid: TimeGrid, spec: FouSpec, fbm_values: np.ndarray,

@@ -108,12 +108,15 @@ class ValidationReport:
 
 _VALIDATE_GRID = TimeGrid(0.0, 1.0, 256)
 _VALIDATE_PATHS = 100
-# rows per tile of a REDRAW chunk's row passes (fOU, Heston's leverage, the
-# fBm's rises): an fOU tile's three (8, m) temporaries stay under 5% of a
-# 512-row block, and a 1024-row chunk at 2^11 steps, restart 1024, runs as
-# fast as with 32-row tiles (about 118 ms on a 2-vCPU Xeon) and 7% faster
-# than with 4-row tiles
+# rows per tile of a REDRAW chunk's row passes (fOU, Heston's leverage): an
+# fOU tile's three (8, m) temporaries stay under 5% of a 512-row block, and
+# a 1024-row chunk at 2^11 steps, restart 1024, runs as fast as with 32-row
+# tiles (about 118 ms on a 2-vCPU Xeon) and 7% faster than with 4-row tiles
 _TILE_ROWS = 8
+# time columns per slab of the loops that step all rows at once (Heston's
+# variance, the SDE's Euler scheme), each slab copied to a contiguous
+# (steps, rows) array of about 128 bytes per row and written back
+_SLAB_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +178,10 @@ def _integrate(z0: float, z: np.ndarray, c, s) -> np.ndarray:
 
 def _fbm_tails(hurst: float, ctx: ConditioningContext,
                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact conditional law of the fBm at the nodes after the
-    restart, given the frozen history, as mean + noise: the noise L22 xi,
-    one row per row of the C-contiguous standard normals `xi` and
-    returned in `xi`, and the mean row L21 z_p, with z_p the history's own
+    """The exact conditional law of the fBm's rises over the cells after
+    the restart, given the frozen history, as mean + noise: the noise
+    G22 xi, one row per row of the C-contiguous standard normals `xi` and
+    returned in `xi`, and the mean row G21 z_p, with z_p the history's own
     normals up to the restart (`fbm_conditional_factors`)."""
     i0 = ctx.t_index
     head, factor = fbm_conditional_factors(hurst, ctx.grid, i0)
@@ -269,19 +272,14 @@ class MixedFbm(ModelSpec):
         s = np.sqrt(grid_tail.dt)
         if self.fbm_weight == 0.0:
             return _fresh_normals(gen, rows, grid_tail.n_steps)[0], None, s
-        fbm = ctx.frozen["fbm"][ctx.t_index :]
         if mode is HkMode.FIXED:
             (w,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+            fbm = ctx.frozen["fbm"][ctx.t_index :]
             return w, self.fbm_weight * np.diff(fbm), s
         w, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
         c, mean = _fbm_tails(self.hurst, ctx, xi_f)
-        rise = np.diff(mean, prepend=fbm[0])
-        # the noise's levels to rises, in row tiles that stay in cache
-        for lo in range(0, rows, _TILE_ROWS):
-            tile = c[lo : lo + _TILE_ROWS]
-            tile[:, 1:] -= tile[:, :-1]
-            tile += rise
-            tile *= self.fbm_weight
+        c += mean
+        c *= self.fbm_weight
         return w, c, s
 
     def checks(self):
@@ -420,18 +418,18 @@ class Heston(_VolPrice):
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # The price noise mixes in row tiles; then v advances a cell at a
-        # time over all rows, each cell's volatility overwriting its B normal,
-        # 8 columns at a time: one column of a (rows, 2^k) block thrashes.
+        # time over all rows, each cell's volatility overwriting its B normal
         m, dt = grid_tail.n_steps, grid_tail.dt
         z, xi_b = _fresh_normals(gen, rows, m, 2)
         for lo in range(0, rows, _TILE_ROWS):
             self._leverage(z[lo : lo + _TILE_ROWS, 1:], xi_b[lo : lo + _TILE_ROWS])
         v = np.full(rows, float(ctx.frozen["v"][ctx.t_index]))
-        for lo in range(0, m, 8):
-            cells = xi_b[:, lo : lo + 8] * np.sqrt(dt)
-            for db in cells.T:
+        for lo in range(0, m, _SLAB_STEPS):
+            cols = slice(lo, lo + _SLAB_STEPS)
+            cells = np.multiply(xi_b[:, cols].T, np.sqrt(dt), order="C")
+            for db in cells:
                 db[...], v = self._cir_step(v, db, dt)
-            xi_b[:, lo : lo + 8] = cells
+            xi_b[:, cols] = cells.T
         return z, xi_b
 
 
@@ -469,18 +467,20 @@ class ComteRenault(_VolPrice):
 
     def _redraw(self, ctx, grid_tail, gen, rows):
         # fOU from the restart node on, seeded with the history's quadrature
-        # sum, in row tiles that overwrite the fBm they are built from
+        # sum, in row tiles that overwrite the fBm rises whose sums from
+        # fbm[i0] give the fBm at the left points
         i0 = ctx.t_index
         z, xi_f = _fresh_normals(gen, rows, grid_tail.n_steps, 2)
         fbm = ctx.frozen["fbm"]
-        tails, mean = _fbm_tails(self.fou.hurst, ctx, xi_f)
+        rises, mean = _fbm_tails(self.fou.hurst, ctx, xi_f)
         cum0 = fou_quadrature(ctx.grid, self.fou, fbm[: i0 + 1])[-1]
         for lo in range(0, rows, _TILE_ROWS):
-            g = tails[lo : lo + _TILE_ROWS]
+            g = rises[lo : lo + _TILE_ROWS]
             g += mean
             b = np.concatenate((np.full((len(g), 1), fbm[i0]), g[:, :-1]), axis=1)
+            np.cumsum(b, axis=1, out=b)
             np.exp(fou_from_fbm(ctx.grid, self.fou, b, i0, cum0), out=g)
-        return z, tails
+        return z, rises
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -520,14 +520,15 @@ class SdePrice(ModelSpec):
         (lz,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         dt = grid_tail.dt
         lz *= np.sqrt(dt)
-        t = np.asarray(grid_tail.nodes)
         lz[:, 0] = ctx.z_t
-        for i in range(grid_tail.n_steps):
-            p = np.exp(lz[:, i])
-            mu = np.asarray(self.mu_fn(t[i], p), dtype=float)
-            sg = np.asarray(self.sigma_fn(t[i], p), dtype=float)
-            lz[:, i + 1] = lz[:, i] + (mu / p - sg * sg / (2 * p * p)) * dt \
-                + (sg / p) * lz[:, i + 1]
+        for lo in range(0, grid_tail.n_steps, _SLAB_STEPS):
+            slab = np.ascontiguousarray(lz[:, lo : lo + _SLAB_STEPS + 1].T)
+            for ti, x, dw in zip(grid_tail.nodes[lo:], slab[:-1], slab[1:]):
+                p = np.exp(x)
+                mu = np.asarray(self.mu_fn(ti, p), dtype=float)
+                sg = np.asarray(self.sigma_fn(ti, p), dtype=float)
+                dw[...] = x + (mu / p - sg * sg / (2 * p * p)) * dt + (sg / p) * dw
+            lz[:, lo + 1 : lo + _SLAB_STEPS + 1] = slab[1:].T
         return lz
 
     def checks(self):

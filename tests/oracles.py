@@ -116,6 +116,15 @@ def fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
     return 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
 
 
+def fgn_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
+    """Covariance D R D^T of the fBm's rises up to the given increasing
+    times, from 0 to the first and between neighbours: R is
+    `fbm_covariance` and D the difference matrix (B(0) = 0), applied as
+    differences along each axis."""
+    r = fbm_covariance(hurst, times)
+    return np.diff(np.diff(r, axis=0, prepend=0.0), axis=1, prepend=0.0)
+
+
 def vol_log_price(z0: float, g: np.ndarray, dw: np.ndarray, dt: float,
                   mu: float = 0.0, rho: float = 0.0,
                   db: np.ndarray | None = None) -> np.ndarray:
@@ -134,6 +143,27 @@ def vol_log_price(z0: float, g: np.ndarray, dw: np.ndarray, dt: float,
         for i in range(dw.shape[1]):
             z[r, i + 1] = (z[r, i] + (mu - 0.5 * g[r, i] ** 2) * dt
                            + root * g[r, i] * dw[r, i] + rho * g[r, i] * db[i])
+    return z
+
+
+def sde_log_price(z0: float, t: np.ndarray, mu_fn, sigma_fn, dw: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """Log price of dP = mu(t, P) dt + sigma(t, P) dW by a plain per-row,
+    per-cell scalar Euler loop, one row per row of the Brownian increments
+    `dw`, with the coefficients at each cell's left point t_i:
+    z_{i+1} = z_i + (mu / p - sigma^2 / (2 p^2)) dt + (sigma / p) dw_i,
+    p = exp(z_i).
+    """
+    dw = np.atleast_2d(dw)
+    z = np.empty((dw.shape[0], dw.shape[1] + 1))
+    for r in range(dw.shape[0]):
+        z[r, 0] = z0
+        for i in range(dw.shape[1]):
+            p = math.exp(z[r, i])
+            mu = float(mu_fn(t[i], p))
+            sg = float(sigma_fn(t[i], p))
+            z[r, i + 1] = (z[r, i] + (mu / p - sg * sg / (2.0 * p * p)) * dt
+                           + (sg / p) * dw[r, i])
     return z
 
 

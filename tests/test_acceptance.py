@@ -11,6 +11,7 @@ from oracles import (
     brownian_alt_rows,
     brownian_rows,
     fbm_covariance,
+    fgn_covariance,
     gen_brownian,
     ito_integral,
     mc_tube_probability,
@@ -25,7 +26,7 @@ from cfslab.core import (
     constant_path,
     make_grid,
 )
-from cfslab.gaussian import FbmSpec, _fbm_cholesky
+from cfslab.gaussian import FbmSpec, _fgn_cholesky
 from cfslab.integrate import rs_parts_form
 from cfslab.jumps import (
     BnsSpec,
@@ -212,10 +213,14 @@ def test_criterion_6_fbm_exactness():
         factor = np.linalg.cholesky(r)
         rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
         worst = max(worst, rel)
-        # the factor the samplers draw with
-        factor = _fbm_cholesky(h, grid)
-        rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
-        sampler_worst = max(sampler_worst, rel)
+        # the factor the samplers draw with, of the rises and, by its
+        # cumulative sum, of the levels
+        factor = _fgn_cholesky(h, grid)
+        cov = fgn_covariance(h, np.asarray(grid.nodes[1:]))
+        rel = np.max(np.abs(factor @ factor.T - cov)) / np.max(np.abs(cov))
+        levels = np.cumsum(factor, axis=0)
+        rel_levels = np.max(np.abs(levels @ levels.T - r)) / np.max(np.abs(r))
+        sampler_worst = max(sampler_worst, rel, rel_levels)
     # successive-increment correlation at h = 0.25, 10^5 replications
     small = make_grid(0.0, 1.0, 2)
     cov = fbm_covariance(0.25, np.asarray(small.nodes[1:]))

@@ -77,6 +77,21 @@ class TestPath:
         with pytest.raises(BadParams):
             Path(g, np.array([0.0, np.nan, 1.0]))
 
+    def test_copies_its_values(self):
+        # the caller's array stays writeable, and writing it, or the array
+        # a view was taken of, leaves the path as it was
+        g = make_grid(0.0, 1.0, 4)
+        a = np.arange(5.0)
+        p = Path(g, a)
+        assert a.flags.writeable and not p.values.flags.writeable
+        a[1] = 9.0
+        assert p.values[1] == 1.0
+        base = np.zeros((2, 5))
+        p = Path(g, base[0])
+        base[0, 2] = 7.0
+        assert p.values[2] == 0.0
+        assert not np.shares_memory(p.values, base)
+
 
 class TestRngStream:
     def test_children_are_independent_and_stable(self):

@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NotPowerOfTwo, fbm_covariance, gen_brownian, gen_brownian_alt
+from oracles import (
+    NotPowerOfTwo,
+    fbm_covariance,
+    fgn_covariance,
+    gen_brownian,
+    gen_brownian_alt,
+)
 from scipy.linalg import toeplitz
 
 from cfslab import gaussian
@@ -18,8 +24,8 @@ from cfslab.core import (
 from cfslab.gaussian import (
     FbmSpec,
     FouSpec,
-    _fbm_cholesky,
     _fgn_autocovariance,
+    _fgn_cholesky,
     _toeplitz_schur,
     bridge_paths,
     bridge_steps,
@@ -108,12 +114,13 @@ class TestFbm:
         assert c == pytest.approx(-0.29289, abs=0.06)
 
     def test_conditional_factors_match_history(self):
-        """C and L reproduce R_fp R_pp^-1 and the Schur complement."""
+        """C and G reproduce T_fp T_pp^-1 and the Schur complement of the
+        rises' covariance T."""
         grid = make_grid(0.0, 1.0, 16)
         hurst = 0.75
         head, ell = fbm_conditional_factors(hurst, grid, 8)
-        cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-        # conditional mean operator L21 L11^-1 reproduces R_fp R_pp^{-1}
+        cov = fgn_covariance(hurst, np.asarray(grid.nodes[1:]))
+        # conditional mean operator G21 G11^-1 reproduces T_fp T_pp^{-1}
         a = np.linalg.solve(head[:8].T, head[8:].T).T
         assert np.allclose(a @ cov[:8, :8], cov[8:, :8], atol=1e-10)
         # Schur complement is recovered by the factor
@@ -123,14 +130,15 @@ class TestFbm:
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     @pytest.mark.parametrize("t_index", [1, 8, 15])
     def test_conditional_mean_is_regression_on_past(self, hurst, t_index):
-        """The mean of the future nodes given the past p, L21 z_p from the
-        path's own normals, is R_fp R_pp^-1 p from the oracle covariance."""
+        """The mean of the future rises given the past rises r_p, G21 z_p
+        from the path's own normals, is T_fp T_pp^-1 r_p from the oracle
+        covariance."""
         grid = make_grid(0.0, 1.0, 16)
         p = t_index
         head, _ = fbm_conditional_factors(hurst, grid, p)
-        cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        cov = fgn_covariance(hurst, np.asarray(grid.nodes[1:]))
         path, normals = gen_fbm(grid, FbmSpec(hurst), RngStream(4, p))
-        past = path.values[1 : p + 1]
+        past = np.diff(path.values)[:p]
         expected = cov[p:, :p] @ np.linalg.solve(cov[:p, :p], past)
         assert np.allclose(head[p:] @ normals[:p], expected,
                            rtol=0.0, atol=1e-10)
@@ -140,22 +148,23 @@ class TestFbm:
         head, ell = fbm_conditional_factors(0.5, grid, 0)
         assert head.shape == (8, 0)
         assert np.array_equal(head @ np.empty(0), np.zeros(8))
-        cov = fbm_covariance(0.5, np.asarray(grid.nodes[1:]))
+        cov = fgn_covariance(0.5, np.asarray(grid.nodes[1:]))
         assert np.allclose(ell @ ell.T, cov, atol=1e-10)
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     @pytest.mark.parametrize("t_index", [1, 128, 255])
     def test_factors_are_blocks_of_history_cholesky(self, hurst, t_index):
-        """(C, L) are blocks of the one cached history factor and still
-        give the exact conditional law: L21 L11^-1 = R_fp R_pp^-1."""
+        """(C, G) are blocks of the one cached history factor and still
+        give the exact conditional law of the rises: G21 G11^-1 =
+        T_fp T_pp^-1."""
         grid = make_grid(0.0, 1.0, 256)
         p = t_index
         head, ell = fbm_conditional_factors(hurst, grid, p)
-        factor = _fbm_cholesky(hurst, grid)
+        factor = _fgn_cholesky(hurst, grid)
         assert np.shares_memory(head, factor) and np.shares_memory(ell, factor)
         assert np.array_equal(head, factor[:, :p])
         assert np.array_equal(ell, factor[p:, p:])
-        cov = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
+        cov = fgn_covariance(hurst, np.asarray(grid.nodes[1:]))
         r_pp, r_fp, r_ff = cov[:p, :p], cov[p:, :p], cov[p:, p:]
         a = np.linalg.solve(head[:p].T, head[p:].T).T
         assert np.allclose(a @ r_pp, r_fp, rtol=0.0, atol=1e-10)
@@ -173,8 +182,7 @@ class TestFbm:
         meshgrid covariance R taken to increments: D R D^T, with D the
         difference matrix and B(0) = 0."""
         grid = make_grid(0.0, 1.0, n_steps)
-        r = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-        incr = np.diff(np.diff(r, axis=0, prepend=0.0), axis=1, prepend=0.0)
+        incr = fgn_covariance(hurst, np.asarray(grid.nodes[1:]))
         expected = toeplitz(_fgn_autocovariance(hurst, grid))
         rel = np.max(np.abs(incr - expected)) / np.max(np.abs(expected))
         assert rel <= 1e-10
@@ -199,27 +207,38 @@ class TestToeplitzSchur:
 
 
 class TestFbmFactor:
-    """The factor the samplers use: `_fbm_cholesky` and its blocks."""
+    """The factor the samplers use, `_fgn_cholesky` of the fBm's rises,
+    and its blocks."""
 
     @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.7, 0.75])
     def test_reconstructs_covariance(self, hurst):
+        # the rises' covariance, and the levels' from the cumulative sum
         grid = make_grid(0.0, 1.0, 2048)
-        factor = _fbm_cholesky(hurst, grid)
+        factor = _fgn_cholesky(hurst, grid)
         assert factor.flags.f_contiguous and not factor.flags.writeable
         assert not np.any(np.triu(factor, 1))
-        r = fbm_covariance(hurst, np.asarray(grid.nodes[1:]))
-        rel = np.max(np.abs(factor @ factor.T - r)) / np.max(np.abs(r))
+        t = np.asarray(grid.nodes[1:])
+        cov = fgn_covariance(hurst, t)
+        rel = np.max(np.abs(factor @ factor.T - cov)) / np.max(np.abs(cov))
+        assert rel <= 1e-10
+        levels = np.cumsum(factor, axis=0)
+        r = fbm_covariance(hurst, t)
+        rel = np.max(np.abs(levels @ levels.T - r)) / np.max(np.abs(r))
         assert rel <= 1e-10
 
     def test_h_half_is_brownian_summation(self):
+        # white noise of variance dt, whose cumulative sum is Brownian
         grid = make_grid(0.0, 1.0, 256)
+        factor = _fgn_cholesky(0.5, grid)
+        assert np.allclose(factor, np.sqrt(grid.dt) * np.eye(256),
+                           rtol=1e-14, atol=0.0)
         expected = np.sqrt(grid.dt) * np.tril(np.ones((256, 256)))
-        assert np.allclose(_fbm_cholesky(0.5, grid), expected,
+        assert np.allclose(np.cumsum(factor, axis=0), expected,
                            rtol=1e-14, atol=0.0)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(BadParams):
-            _fbm_cholesky(0.7, make_grid(0.5, 1.0, 8))
+            _fgn_cholesky(0.7, make_grid(0.5, 1.0, 8))
 
     @pytest.mark.parametrize("m", [1, 7, 9, 64, 1024])
     @pytest.mark.parametrize("rows", [1, 3, 5, 8])

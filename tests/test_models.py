@@ -6,7 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import cir_variance, gen_brownian, report_passed, vol_log_price
+from oracles import (
+    cir_variance,
+    gen_brownian,
+    report_passed,
+    sde_log_price,
+    vol_log_price,
+)
 
 from cfslab import gaussian, jumps
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
@@ -36,6 +42,7 @@ from cfslab.models import (
     Regime,
     SdePrice,
     WienerIntegral,
+    _fbm_tails,
     _fresh_normals,
     cell_noise_scale,
     continue_chunk,
@@ -216,21 +223,24 @@ class TestRegimeState:
         assert np.allclose(p, expected, rtol=0.0, atol=1e-12)
 
 
-def _fbm_mean(hurst, grid, fbm, t_index):
-    # L21 L11^-1 p from the blocks of the history factor, by one dense solve
+def _fbm_rise_mean(hurst, grid, fbm, t_index):
+    # G21 G11^-1 r_p for the past rises r_p, from the blocks of the
+    # history's increments factor, by one dense solve
     head, _ = fbm_conditional_factors(hurst, grid, t_index)
     p = t_index
-    return head[p:] @ np.linalg.solve(head[:p], fbm[1 : p + 1])
+    return head[p:] @ np.linalg.solve(head[:p], np.diff(fbm[: p + 1]))
 
 
 def _comte_renault_vol(spec, ctx, tail, gen):
-    # one row's fBm tail from its exact conditional law given the frozen
-    # history, then exp(fOU) over the whole path at the left points
+    # one row's fBm rises from their exact conditional law given the frozen
+    # history, summed onto its value at the restart, then exp(fOU) over the
+    # whole path at the left points
     i0 = ctx.t_index
     fbm = ctx.frozen["fbm"]
     _, factor = fbm_conditional_factors(spec.fou.hurst, ctx.grid, i0)
-    tails = (_fbm_mean(spec.fou.hurst, ctx.grid, fbm, i0)
+    rises = (_fbm_rise_mean(spec.fou.hurst, ctx.grid, fbm, i0)
              + factor @ gen.standard_normal(tail.n_steps))
+    tails = fbm[i0] + np.cumsum(rises)
     v = fou_from_fbm(ctx.grid, spec.fou, np.concatenate((fbm[: i0 + 1], tails)))
     return np.exp(v[i0:-1])
 
@@ -240,29 +250,31 @@ class TestMixedFbmOracle:
 
     @pytest.mark.parametrize("name", ["mixed_fbm_h025", "comte_renault"])
     def test_frozen_normals_reproduce_the_frozen_fbm(self, name):
-        # the context freezes the normals its fBm was drawn from: the
-        # history factor applied to them gives the frozen fBm bit for bit
+        # the context freezes the normals its fBm was drawn from: fed them
+        # from restart 0, the conditional law's rises sum to the frozen fBm
+        # bit for bit
         spec = get_preset(name)
         hurst = spec.fou.hurst if isinstance(spec, ComteRenault) else spec.hurst
-        _, ctx = simulate(spec, self.GRID, RngStream(23, 0), 128)
+        _, ctx = simulate(spec, self.GRID, RngStream(23, 0), 0)
         fbm, normals = ctx.frozen["fbm"], ctx.frozen["fbm_normals"]
         assert normals.shape == (self.GRID.n_steps,)
         assert fbm[0] == 0.0
-        assert np.array_equal(
-            fbm[1:], gaussian._fbm_cholesky(hurst, self.GRID) @ normals)
+        noise, mean = _fbm_tails(hurst, ctx, normals[None].copy())
+        assert not np.any(mean)
+        assert np.array_equal(fbm[1:], np.cumsum(noise[0] + mean))
 
     @pytest.mark.parametrize("restart", [0, 1, 128, 255])
     @pytest.mark.parametrize("name", ["mixed_fbm_h025", "mixed_fbm_h075"])
     def test_redraw_continuation(self, name, restart):
-        # z_t + cumsum0(sqrt(dt) xi_W) + w (mean + L xi_F - fbm_t), with
-        # mean = L21 L11^-1 fbm_past, each row's xi_W and then its xi_F read
-        # in order from the block
+        # z_t + cumsum0(sqrt(dt) xi_W) + w cumsum0(mean + G xi_F), with
+        # mean = G21 G11^-1 r_p for the past rises r_p, each row's xi_W and
+        # then its xi_F read in order from the block
         spec = get_preset(name)  # REDRAW
         _, ctx = simulate(spec, self.GRID, RngStream(23, 0), restart)
         tail = tail_grid(self.GRID, restart)
         _, factor = fbm_conditional_factors(spec.hurst, self.GRID, restart)
         fbm = ctx.frozen["fbm"]
-        mean = _fbm_mean(spec.hurst, self.GRID, fbm, restart)
+        mean = _fbm_rise_mean(spec.hurst, self.GRID, fbm, restart)
         rng = RngStream(23, 1)
         block = np.vstack([b for _, b in
                            iter_continuations(spec, ctx, tail, rng, 64)])
@@ -271,8 +283,7 @@ class TestMixedFbmOracle:
             xi_w = gen.standard_normal(tail.n_steps)
             xi_f = gen.standard_normal(tail.n_steps)
             w = np.concatenate(([0.0], np.cumsum(np.sqrt(tail.dt) * xi_w)))
-            rise = np.concatenate(([0.0], mean + factor @ xi_f
-                                   - fbm[restart]))
+            rise = np.concatenate(([0.0], np.cumsum(mean + factor @ xi_f)))
             expected = ctx.z_t + w + spec.fbm_weight * rise
             assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
 
@@ -388,6 +399,25 @@ class TestLogPriceOracle:
             (16, tail.n_steps))
         expected = vol_log_price(ctx.z_t, ctx.frozen["g"][i0:-1], dw, tail.dt,
                                  spec.mu, spec.rho, ctx.frozen["db"][i0:])
+        assert np.allclose(block, expected, rtol=0.0, atol=1e-12)
+
+
+class TestSdeOracle:
+    # the SDE family's log-price Euler scheme against a per-row scalar loop
+    GRID = make_grid(0.0, 1.0, 256)
+
+    @pytest.mark.parametrize("restart", [0, 128])
+    def test_continuation(self, restart):
+        spec = get_preset("sde")
+        _, ctx = simulate(spec, self.GRID, RngStream(25, 0), restart)
+        tail = tail_grid(self.GRID, restart)
+        rng = RngStream(25, 1)
+        block = np.vstack([b for _, b in
+                           iter_continuations(spec, ctx, tail, rng, 64)])
+        dw = np.sqrt(tail.dt) * rng.child(0).generator().standard_normal(
+            (64, tail.n_steps))  # the block's rows, in order
+        expected = sde_log_price(ctx.z_t, np.asarray(tail.nodes), spec.mu_fn,
+                                 spec.sigma_fn, dw, tail.dt)
         assert np.allclose(block, expected, rtol=0.0, atol=1e-12)
 
 
@@ -574,8 +604,8 @@ class TestFactorMemory:
     GRID = make_grid(0.0, 1.0, 2048)
 
     def test_one_factor_while_building_the_next(self, monkeypatch):
-        gaussian._fbm_cholesky.cache_clear()
-        first = weakref.ref(gaussian._fbm_cholesky(0.25, self.GRID).base)
+        gaussian._fgn_cholesky.cache_clear()
+        first = weakref.ref(gaussian._fgn_cholesky(0.25, self.GRID).base)
         fbm_conditional_factors(0.25, self.GRID, 1024)  # blocks, dropped
         schur, first_alive = gaussian._toeplitz_schur, []
 
@@ -589,13 +619,13 @@ class TestFactorMemory:
 
     def test_blocks_are_views_of_the_cached_factor(self):
         head, ell = fbm_conditional_factors(0.75, self.GRID, 1024)
-        factor = gaussian._fbm_cholesky(0.75, self.GRID)
+        factor = gaussian._fgn_cholesky(0.75, self.GRID)
         assert factor.base is not None
         assert head.base is factor.base and ell.base is factor.base
         assert np.shares_memory(head[:4, :4], factor[:4, :4])
         assert np.shares_memory(ell[:4, :4], factor[1024:1028, 1024:1028])
         assert (fbm_conditional_factors.cache_info()
-                == gaussian._fbm_cholesky.cache_info())
+                == gaussian._fgn_cholesky.cache_info())
 
 
 class TestStreamContract:

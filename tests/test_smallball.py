@@ -388,7 +388,7 @@ class TestThreadedChunks:
             return schur(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "_toeplitz_schur", slow_schur)
-        gaussian._fbm_cholesky.cache_clear()
+        gaussian._fgn_cholesky.cache_clear()
         gaussian.fbm_conditional_factors.cache_clear()
         q = SmallBallQuery(128, constant_path(tail_grid(GRID, 128), 0.0), 0.5)
         estimate_many(spec, ctx, [q], 2048, RngStream(26, 1), workers=2)
