@@ -249,8 +249,10 @@ def lower_tri_matmul(xi: np.ndarray, factor: np.ndarray) -> np.ndarray:
     rows, m = xi.shape
     if factor.shape != (m, m):
         raise ValueError(f"factor {factor.shape} does not fit xi {xi.shape}")
+    if xi.size == 0:
+        return xi  # no rows (or no columns): nothing to multiply
     blas = _blas()
-    if blas is not None and xi.size:
+    if blas is not None:
         item = xi.itemsize
         if not (factor.dtype == np.float64 and factor.flags.aligned
                 and factor.strides[0] == item

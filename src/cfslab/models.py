@@ -209,9 +209,9 @@ class ModelSpec:
     mean c (H's rise over the cell, or None) and the per-cell scale s (K
     times sqrt(dt)), redrawing the drivers' future in REDRAW mode;
     `continuation` finishes z_t + cumsum0(c + s xi) with `_integrate`,
-    and `cell_noise_scale` reads |s| off the same law. A family outside
-    that form overrides `continuation` instead. Price families report the
-    log price.
+    and `cell_noise_scale` and `exact_spread` read |s| and the spread
+    off the same law. A family outside that form overrides `continuation`
+    instead. Price families report the log price.
     """
 
     tag: ClassVar[str]  # family name in `cfslab models`, default `name`
@@ -329,7 +329,7 @@ class _VolPrice(ModelSpec):
     returning the price noise, as normals in columns 1: of the chunk's
     output array, and g per replication. g is independent of W except in
     `Heston`, whose variance is driven by a Brownian B with d<W, B> = rho
-    dt, so that its price noise mixes in B's.
+    dt, so that its law states its own leverage.
     """
 
     mu: float = 0.0
@@ -340,14 +340,9 @@ class _VolPrice(ModelSpec):
         if not np.isfinite(self.mu):
             raise BadParams("mu must be finite")
 
-    def _price_noise(self, x, ctx):
-        """x, W's normals on the cells from the restart node of `ctx` on,
-        made the price noise in place; x by default."""
-
     def increments(self, ctx, grid_tail, gen, rows, mode):
         if mode is HkMode.FIXED:
             (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
-            self._price_noise(z[:, 1:], ctx)
             g = ctx.frozen["g"][ctx.t_index : -1]
         else:
             z, g = self._redraw(ctx, grid_tail, gen, rows)
@@ -393,8 +388,16 @@ class Heston(_VolPrice):
         x *= np.sqrt(1.0 - self.rho ** 2)
         x += self.rho * b
 
-    def _price_noise(self, x, ctx):
-        self._leverage(x, ctx.frozen["db"][ctx.t_index :] / np.sqrt(ctx.grid.dt))
+    def increments(self, ctx, grid_tail, gen, rows, mode):
+        if mode is HkMode.REDRAW:
+            return super().increments(ctx, grid_tail, gen, rows, mode)
+        # B is frozen, so its part of the leverage is mean: per cell,
+        # c = (mu - g^2/2) dt + rho g db and s = sqrt(1 - rho^2) g sqrt(dt)
+        (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
+        i0, dt = ctx.t_index, grid_tail.dt
+        g = ctx.frozen["g"][i0:-1]
+        c = (self.mu - 0.5 * g * g) * dt + self.rho * g * ctx.frozen["db"][i0:]
+        return z, c, np.sqrt((1.0 - self.rho ** 2) * dt) * g
 
     def _cir_step(self, v, db, dt):
         """One full-truncation Euler step of the variance (Lord, Koekkoek
@@ -659,6 +662,42 @@ def cell_noise_scale(
         return None
     _, _, s = spec.increments(ctx, grid_tail, None, 0, HkMode.FIXED)
     return np.abs(np.broadcast_to(s, grid_tail.n_steps))
+
+
+def exact_spread(
+    spec: ModelSpec, ctx: ConditioningContext, grid_tail: TimeGrid
+) -> np.ndarray | None:
+    """The conditional standard deviations of Z - z_t at the tail's middle
+    node (n_steps // 2) and its last node, given `ctx`, when the
+    continuation is Gaussian; otherwise None.
+
+    That holds where the family states its law (c, s) through
+    `increments` and, in the spec's mode, the law of zero rows has c and s
+    that are scalars or rows: z_t + cumsum0(c + s xi) then has variance
+    cumsum0(s^2), and the read draws no normals. It holds too for
+    `MixedFbm` REDRAW, whose fBm rises after the restart are the mean
+    plus G22 xi_f (`_fbm_tails`): the weighted fBm adds w^2 times the
+    squared norm of the sum of G22's rows up to the node. The REDRAW laws
+    of the volatility families, `SdePrice`, `Doleans` and `Bridge` get
+    None.
+    """
+    if not hasattr(spec, "increments"):
+        return None
+    mode = getattr(spec, "hk_mode", HkMode.FIXED)
+    mid, m = grid_tail.n_steps // 2, grid_tail.n_steps
+    if (isinstance(spec, MixedFbm) and mode is HkMode.REDRAW
+            and spec.fbm_weight > 0.0):
+        _, g22 = fbm_conditional_factors(spec.hurst, ctx.grid, ctx.t_index)
+        head = g22[:mid].sum(axis=0)  # a column sum of the Fortran factor
+        whole = head + g22[mid:].sum(axis=0)
+        var = (np.array([mid, m]) * grid_tail.dt
+               + spec.fbm_weight ** 2 * np.array([head @ head, whole @ whole]))
+        return np.sqrt(var)
+    _, c, s = spec.increments(ctx, grid_tail, None, 0, mode)
+    if np.ndim(c) > 1 or np.ndim(s) > 1:
+        return None  # a law per replication
+    var = np.cumsum(np.concatenate(([0.0], np.broadcast_to(s, m))) ** 2)
+    return np.sqrt(var[[mid, m]])
 
 
 def iter_continuations(

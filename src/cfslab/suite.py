@@ -1,9 +1,12 @@
 """Target-family construction and the full support-probe battery.
 
 The battery simulates one history per restart fraction for each model,
-scales a family of piecewise-linear targets to a pilot estimate of the
-continuation spread, and classifies every (target, radius) tube query as
-POSITIVE, ZERO_CONSISTENT, or ANALYTIC_ZERO.
+scales a family of piecewise-linear targets to the continuation spread,
+and classifies every (target, radius) tube query as POSITIVE,
+ZERO_CONSISTENT, or ANALYTIC_ZERO. The spread is exact where the
+continuation is Gaussian given the history (`models.exact_spread`: every
+preset but `heston`, `sde`, `doleans` and `bridge`) and a pilot estimate
+elsewhere.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .core import (
     make_grid,
     tail_grid,
 )
-from .models import ModelSpec, iter_continuations, simulate
+from .models import ModelSpec, exact_spread, iter_continuations, simulate
 from .smallball import SmallBallQuery, estimate_many
 
 
@@ -96,9 +99,14 @@ def single_target(
 class BatteryTemplate:
     """Query-generation rule for the battery.
 
-    Amplitudes and tube radii are scaled to the pilot standard deviation
-    of Z(T) - Z(t_under) over `pilot_reps` conditional continuations, so
-    default tube probabilities land in the Monte Carlo-resolvable range.
+    Amplitudes and tube radii are scaled to the spread, the larger
+    conditional standard deviation of Z - z_t at the tail's middle node
+    and its last, so default tube probabilities land in the Monte
+    Carlo-resolvable range. It is exact where the continuation is
+    Gaussian given the context (`models.exact_spread`; among the presets
+    `brownian`, `wiener_affine`, `exp_drift`, both `mixed_fbm` and the
+    FIXED `bns`, `comte_renault` and `regime`); elsewhere it is the
+    sample spread of `pilot_reps` conditional continuations.
     For strictly positive models reported in R, the base amplitude is
     floored so that the full-amplitude downward ramp provably empties the
     tube, which the analytic-zero detector then reports.
@@ -213,8 +221,10 @@ def _run_cell(spec: ModelSpec, t_frac: float, template: BatteryTemplate,
     t_index = restart_node(t_frac, template.n_steps)
     _, ctx = simulate(spec, grid, cell_rng.child(0), t_index)
     grid_tail = tail_grid(grid, t_index)
-    spread = _pilot_std(spec, ctx, grid_tail, cell_rng.child(1),
-                        template.pilot_reps)
+    exact = exact_spread(spec, ctx, grid_tail)
+    spread = (float(np.max(exact)) if exact is not None else
+              _pilot_std(spec, ctx, grid_tail, cell_rng.child(1),
+                         template.pilot_reps))
     spread = max(spread, 1e-12)
     amplitude = template.amp_scale * spread
     eps_values = tuple(s * spread for s in template.eps_scales)

@@ -287,6 +287,16 @@ class TestFbmFactor:
     def test_matmul_panels_are_c_contiguous(self, t_index, panels):
         self.test_lower_tri_matmul_is_c_contiguous(t_index)
 
+    def test_lower_tri_matmul_on_no_rows(self):
+        # a zero-row law read of a REDRAW fBm family multiplies no rows
+        _, ell = fbm_conditional_factors(0.7, make_grid(0.0, 1.0, 8), 4)
+        xi = np.empty((0, 4))
+        out = lower_tri_matmul(xi, ell)
+        assert out is xi and out.shape == (0, 4)
+
+    def test_matmul_panels_on_no_rows(self, panels):
+        self.test_lower_tri_matmul_on_no_rows()
+
     def test_lower_tri_matmul_rejects_a_factor_of_another_size(self):
         with pytest.raises(ValueError, match="does not fit"):
             lower_tri_matmul(np.zeros((3, 4)), np.eye(5))

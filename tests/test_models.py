@@ -46,10 +46,12 @@ from cfslab.models import (
     _fresh_normals,
     cell_noise_scale,
     continue_chunk,
+    exact_spread,
     iter_continuations,
     simulate,
     validate_spec,
 )
+from cfslab.suite import _pilot_std
 
 GRID = make_grid(0.0, 1.0, 128)
 MID = 64
@@ -484,6 +486,69 @@ class TestCellNoiseScale:
         assert s.shape == (tail.n_steps,)
         assert np.allclose(s, np.abs(self.K[name](left)) * np.sqrt(tail.dt),
                            rtol=0.0, atol=1e-15)
+
+
+def _in_mode(name, mode):
+    return dataclasses.replace(get_preset(name), hk_mode=mode)
+
+
+class TestExactSpread:
+    # the battery's scale read off the law, against the Monte Carlo pilot
+    # it replaces; the tolerance, 4 standard errors of a sample standard
+    # deviation, was fixed before running
+    GRID = make_grid(0.0, 1.0, 256)
+    N = 10 ** 5
+    EXACT = {
+        "brownian": lambda: get_preset("brownian"),
+        "wiener_affine": lambda: get_preset("wiener_affine"),
+        "exp_drift": lambda: get_preset("exp_drift"),
+        "mixed_fbm_h025-fixed": lambda: _in_mode("mixed_fbm_h025", HkMode.FIXED),
+        "mixed_fbm_h075-fixed": lambda: _in_mode("mixed_fbm_h075", HkMode.FIXED),
+        "mixed_fbm_h025-redraw": lambda: get_preset("mixed_fbm_h025"),
+        "mixed_fbm_h075-redraw": lambda: get_preset("mixed_fbm_h075"),
+        "bns-fixed": lambda: get_preset("bns"),
+        "comte_renault-fixed": lambda: get_preset("comte_renault"),
+        "regime-fixed": lambda: get_preset("regime"),
+        "heston-fixed": lambda: _in_mode("heston", HkMode.FIXED),
+    }
+    PILOTED = {
+        "heston-redraw": lambda: get_preset("heston"),
+        "sde": lambda: get_preset("sde"),
+        "doleans": lambda: get_preset("doleans"),
+        "bridge": lambda: get_preset("bridge"),
+        "bns-redraw": lambda: _in_mode("bns", HkMode.REDRAW),
+        "regime-redraw": lambda: _in_mode("regime", HkMode.REDRAW),
+        "comte_renault-redraw": lambda: _in_mode("comte_renault", HkMode.REDRAW),
+    }
+
+    def _cell(self, make, t_index, seed):
+        spec = make()
+        _, ctx = simulate(spec, self.GRID, RngStream(seed, 0), t_index)
+        return spec, ctx, tail_grid(self.GRID, t_index)
+
+    @pytest.mark.parametrize("t_index", [0, 128])
+    @pytest.mark.parametrize("case", sorted(EXACT))
+    def test_matches_the_monte_carlo_pilot(self, case, t_index):
+        spec, ctx, tail = self._cell(self.EXACT[case], t_index, 7)
+        exact = exact_spread(spec, ctx, tail)
+        pilot = _pilot_std(spec, ctx, tail, RngStream(7, 1), self.N)
+        assert exact.shape == (2,)
+        assert abs(np.max(exact) / pilot - 1.0) <= 4.0 / np.sqrt(2 * self.N)
+
+    @pytest.mark.parametrize("t_index", [0, 128])
+    @pytest.mark.parametrize("case", sorted(PILOTED))
+    def test_none_where_the_law_is_per_replication(self, case, t_index):
+        spec, ctx, tail = self._cell(self.PILOTED[case], t_index, 8)
+        assert exact_spread(spec, ctx, tail) is None
+
+    @pytest.mark.parametrize("t_index", [0, 128])
+    def test_brownian_is_sqrt_time(self, t_index):
+        # both nodes: the middle one (n_steps // 2) and the end
+        spec, ctx, tail = self._cell(self.EXACT["brownian"], t_index, 9)
+        m = tail.n_steps
+        assert np.allclose(exact_spread(spec, ctx, tail),
+                           np.sqrt(np.array([m // 2, m]) * tail.dt),
+                           rtol=1e-14, atol=0.0)
 
 
 class TestValidateSpec:

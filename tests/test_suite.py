@@ -1,4 +1,5 @@
 """Target families, battery runs, and report rendering."""
+import collections
 import json
 import multiprocessing
 import os
@@ -147,6 +148,22 @@ class TestBattery:
             for r in rep.rows:
                 if r.estimate.classification is Classification.ANALYTIC_ZERO:
                     assert r.estimate.hits == 0
+
+    def test_only_cells_without_a_gaussian_law_pilot(self, monkeypatch):
+        # the pilot is the battery's one use of `suite.iter_continuations`
+        calls = collections.Counter()
+        real = suite.iter_continuations
+
+        def counted(spec, *args):
+            calls[spec.name] += 1
+            return real(spec, *args)
+
+        monkeypatch.setattr(suite, "iter_continuations", counted)
+        names = ["bns", "mixed_fbm_h075", "heston", "sde"]
+        run_battery([get_preset(n) for n in names],
+                    BatteryTemplate(n_steps=256, t_fracs=(0.5,)), 1000, 4)
+        assert {n: calls[n] for n in names} == {
+            "bns": 0, "mixed_fbm_h075": 0, "heston": 1, "sde": 1}
 
     def test_worker_count_does_not_change_bytes(self):
         models = [get_preset("brownian"), get_preset("doleans")]
