@@ -383,16 +383,11 @@ class Heston(_VolPrice):
         if not -1.0 < self.rho < 1.0:
             raise BadParams("rho must be in (-1, 1)")
 
-    def _leverage(self, x, b):
-        """x <- sqrt(1 - rho^2) x + rho b: price noise from W's x and B's b."""
-        x *= np.sqrt(1.0 - self.rho ** 2)
-        x += self.rho * b
-
     def increments(self, ctx, grid_tail, gen, rows, mode):
         if mode is HkMode.REDRAW:
             return super().increments(ctx, grid_tail, gen, rows, mode)
-        # B is frozen, so its part of the leverage is mean: per cell,
-        # c = (mu - g^2/2) dt + rho g db and s = sqrt(1 - rho^2) g sqrt(dt)
+        # B is frozen, so its share of the price noise, rho g db, is mean:
+        # per cell c = (mu - g^2/2) dt + rho g db, s = sqrt(1 - rho^2) g sqrt(dt)
         (z,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         i0, dt = ctx.t_index, grid_tail.dt
         g = ctx.frozen["g"][i0:-1]
@@ -420,12 +415,15 @@ class Heston(_VolPrice):
         return {"v": v, "db": db, "g": np.sqrt(np.clip(v, 0.0, None))}
 
     def _redraw(self, ctx, grid_tail, gen, rows):
-        # The price noise mixes in row tiles; then v advances a cell at a
-        # time over all rows, each cell's volatility overwriting its B normal
+        # The price noise sqrt(1 - rho^2) xi_W + rho xi_B mixes in row
+        # tiles; then v advances a cell at a time over all rows, each
+        # cell's volatility overwriting its B normal
         m, dt = grid_tail.n_steps, grid_tail.dt
         z, xi_b = _fresh_normals(gen, rows, m, 2)
         for lo in range(0, rows, _TILE_ROWS):
-            self._leverage(z[lo : lo + _TILE_ROWS, 1:], xi_b[lo : lo + _TILE_ROWS])
+            x = z[lo : lo + _TILE_ROWS, 1:]
+            x *= np.sqrt(1.0 - self.rho ** 2)
+            x += self.rho * xi_b[lo : lo + _TILE_ROWS]
         v = np.full(rows, float(ctx.frozen["v"][ctx.t_index]))
         for lo in range(0, m, _SLAB_STEPS):
             cols = slice(lo, lo + _SLAB_STEPS)
@@ -688,7 +686,7 @@ def exact_spread(
     if (isinstance(spec, MixedFbm) and mode is HkMode.REDRAW
             and spec.fbm_weight > 0.0):
         _, g22 = fbm_conditional_factors(spec.hurst, ctx.grid, ctx.t_index)
-        head = g22[:mid].sum(axis=0)  # a column sum of the Fortran factor
+        head = g22[:mid].sum(axis=0)  # down the factor's contiguous columns
         whole = head + g22[mid:].sum(axis=0)
         var = (np.array([mid, m]) * grid_tail.dt
                + spec.fbm_weight ** 2 * np.array([head @ head, whole @ whole]))
