@@ -24,7 +24,7 @@ def affine_integrand(s: np.ndarray) -> np.ndarray:
 
 def bounded_mu(t: float, x: np.ndarray) -> np.ndarray:
     """Mean-reverting drift with |mu| <= 0.5 * x for x > 0."""
-    return 0.5 * x * np.tanh(1.0 - np.log(np.clip(x, 1e-300, None)))
+    return 0.5 * x * np.tanh(1.0 - np.log(np.maximum(x, 1e-300)))
 
 
 def bounded_sigma(t: float, x: np.ndarray) -> np.ndarray:

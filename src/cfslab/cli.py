@@ -152,13 +152,14 @@ def cmd_smallball(config) -> int:
     target = single_target(tail_grid(grid, t_index), config["style"],
                            config["amplitude"], config["n_segments"])
     query = SmallBallQuery(t_index, target, config["epsilon"])
+    reps, workers = config["reps"], config["workers"]
+    threads = chunk_threads(workers, reps)  # checks both before the history
     rng = RngStream(config["seed"], 0)
     _, ctx = simulate(spec, grid, rng.child(0), t_index)
-    reps, workers = config["reps"], config["workers"]
     t0 = time.perf_counter()
     est = estimate_smallball(spec, ctx, query, reps, rng.child(1), workers)
     wall = time.perf_counter() - t0
-    threads = 0 if est.reason is not None else chunk_threads(workers, reps)
+    threads = 0 if est.reason is not None else threads
     row = BatteryRow(spec.name, config["t_frac"], config["style"].value,
                      config["amplitude"], config["epsilon"], est)
     path = _out_path(config, spec.name, "smallball", "csv")

@@ -394,14 +394,28 @@ class Heston(_VolPrice):
         c = (self.mu - 0.5 * g * g) * dt + self.rho * g * ctx.frozen["db"][i0:]
         return z, c, np.sqrt((1.0 - self.rho ** 2) * dt) * g
 
-    def _cir_step(self, v, db, dt):
-        """One full-truncation Euler step of the variance (Lord, Koekkoek
-        & van Dijk 2010) over a cell of width dt with B increment db:
-        (sqrt(v+) at the cell's left point, v at its right point)."""
-        c = self.cir
-        vp = np.maximum(v, 0.0)
-        g = np.sqrt(vp)
-        return g, v + (c.theta - vp) * (c.kappa * dt) + c.xi * g * db
+    def _cir_step(self, dt, shape):
+        """The full-truncation Euler step of the variance (Lord, Koekkoek
+        & van Dijk 2010) over cells of width dt, on arrays of `shape`:
+        step(v, db) advances v in place to the cell's right point, v +
+        (theta - v+) kappa dt + xi sqrt(v+) db, and overwrites the B
+        increments db with sqrt(v+) at the left point."""
+        c, (vp, g, a, b) = self.cir, np.empty((4, shape))
+        # 0-d operands, positional outputs and no output that is also an
+        # input: numpy's cheapest calls, on one row too
+        zero, theta, kdt, xi = map(np.array, (0.0, c.theta, c.kappa * dt, c.xi))
+
+        def step(v, db):
+            np.maximum(v, zero, out=vp)  # a positional out is deprecated here
+            np.sqrt(vp, g)
+            np.subtract(theta, vp, a)
+            np.multiply(a, kdt, b)
+            np.add(v, b, a)
+            np.multiply(g, xi, b)
+            np.multiply(b, db, vp)
+            np.add(a, vp, v)
+            db[...] = g
+        return step
 
     def drivers(self, grid, rng):
         db = rng.child(1).generator().normal(0.0, np.sqrt(grid.dt), grid.n_steps)
@@ -410,8 +424,10 @@ class Heston(_VolPrice):
                 "2*kappa*theta < xi**2: variance can hit zero", FellerWarning,
                 stacklevel=3)
         v = np.full(grid.n_nodes, float(self.cir.v0))
-        for i, d in enumerate(db):
-            v[i + 1] = self._cir_step(v[i], d, grid.dt)[1]
+        x, step = v[:1].copy(), self._cir_step(grid.dt, 1)
+        for i, d in enumerate(db[:, None].copy(), 1):
+            step(x, d)
+            v[i] = x[0]
         return {"v": v, "db": db, "g": np.sqrt(np.clip(v, 0.0, None))}
 
     def _redraw(self, ctx, grid_tail, gen, rows):
@@ -425,11 +441,12 @@ class Heston(_VolPrice):
             x *= np.sqrt(1.0 - self.rho ** 2)
             x += self.rho * xi_b[lo : lo + _TILE_ROWS]
         v = np.full(rows, float(ctx.frozen["v"][ctx.t_index]))
+        step = self._cir_step(dt, rows)
         for lo in range(0, m, _SLAB_STEPS):
             cols = slice(lo, lo + _SLAB_STEPS)
             cells = np.multiply(xi_b[:, cols].T, np.sqrt(dt), order="C")
             for db in cells:
-                db[...], v = self._cir_step(v, db, dt)
+                step(v, db)
             xi_b[:, cols] = cells.T
         return z, xi_b
 
@@ -520,17 +537,39 @@ class SdePrice(ModelSpec):
         # each read before its node overwrites it
         (lz,) = _fresh_normals(gen, rows, grid_tail.n_steps)
         dt = grid_tail.dt
-        lz *= np.sqrt(dt)
         lz[:, 0] = ctx.z_t
+        x, step = lz[:, 0].copy(), self.euler_step(dt, rows)
         for lo in range(0, grid_tail.n_steps, _SLAB_STEPS):
-            slab = np.ascontiguousarray(lz[:, lo : lo + _SLAB_STEPS + 1].T)
-            for ti, x, dw in zip(grid_tail.nodes[lo:], slab[:-1], slab[1:]):
-                p = np.exp(x)
-                mu = np.asarray(self.mu_fn(ti, p), dtype=float)
-                sg = np.asarray(self.sigma_fn(ti, p), dtype=float)
-                dw[...] = x + (mu / p - sg * sg / (2 * p * p)) * dt + (sg / p) * dw
-            lz[:, lo + 1 : lo + _SLAB_STEPS + 1] = slab[1:].T
+            cols = slice(lo + 1, lo + _SLAB_STEPS + 1)
+            slab = np.multiply(lz[:, cols].T, np.sqrt(dt), order="C")
+            for ti, dw in zip(grid_tail.nodes[lo:], slab):
+                step(ti, x, dw)
+                dw[...] = x
+            lz[:, cols] = slab.T
         return lz
+
+    def euler_step(self, dt, rows):
+        """The log-price Euler step of width dt on `rows` states: step(t,
+        x, dw) advances x in place to x + (mu/p - sg^2/(2 p^2)) dt + (sg/p)
+        dw, with p = e^x and mu, sg the coefficients at (t, p)."""
+        (p, a, b, c, d), two, dt = np.empty((5, rows)), np.array(2.0), np.array(dt)
+
+        def step(t, x, dw):  # as in `Heston._cir_step`, no op is in place
+            np.exp(x, p)
+            mu = np.asarray(self.mu_fn(t, p), dtype=float)
+            sg = np.asarray(self.sigma_fn(t, p), dtype=float)
+            np.divide(mu, p, a)
+            np.multiply(sg, sg, b)
+            np.multiply(two, p, c)
+            np.multiply(c, p, d)
+            np.divide(b, d, c)
+            np.subtract(a, c, b)
+            np.multiply(b, dt, a)
+            np.divide(sg, p, b)
+            np.multiply(b, dw, c)
+            np.add(x, a, b)
+            np.add(b, c, x)
+        return step
 
     def checks(self):
         if self.mu_bar is None or self.sigma_bar is None:
@@ -670,18 +709,20 @@ def exact_spread(
     continuation is Gaussian; otherwise None.
 
     That holds where the family states its law (c, s) through
-    `increments` and, in the spec's mode, the law of zero rows has c and s
-    that are scalars or rows: z_t + cumsum0(c + s xi) then has variance
-    cumsum0(s^2), and the read draws no normals. It holds too for
-    `MixedFbm` REDRAW, whose fBm rises after the restart are the mean
-    plus G22 xi_f (`_fbm_tails`): the weighted fBm adds w^2 times the
-    squared norm of the sum of G22's rows up to the node. The REDRAW laws
-    of the volatility families, `SdePrice`, `Doleans` and `Bridge` get
-    None.
+    `increments` and c and s are scalars or rows, the same for every
+    replication, as in every FIXED law: z_t + cumsum0(c + s xi) then has
+    variance cumsum0(s^2), read off the law of zero rows, which draws no
+    normals. It holds too for `MixedFbm` REDRAW, whose fBm rises after
+    the restart are the mean plus G22 xi_f (`_fbm_tails`): the weighted
+    fBm adds w^2 times the squared norm of the sum of G22's rows up to
+    the node. The REDRAW laws of the volatility families, which redraw g
+    per replication, get None without a read, as do `SdePrice`,
+    `Doleans` and `Bridge`.
     """
-    if not hasattr(spec, "increments"):
-        return None
     mode = getattr(spec, "hk_mode", HkMode.FIXED)
+    if not hasattr(spec, "increments") or (
+            isinstance(spec, _VolPrice) and mode is HkMode.REDRAW):
+        return None
     mid, m = grid_tail.n_steps // 2, grid_tail.n_steps
     if (isinstance(spec, MixedFbm) and mode is HkMode.REDRAW
             and spec.fbm_weight > 0.0):
@@ -691,9 +732,7 @@ def exact_spread(
         var = (np.array([mid, m]) * grid_tail.dt
                + spec.fbm_weight ** 2 * np.array([head @ head, whole @ whole]))
         return np.sqrt(var)
-    _, c, s = spec.increments(ctx, grid_tail, None, 0, mode)
-    if np.ndim(c) > 1 or np.ndim(s) > 1:
-        return None  # a law per replication
+    _, _, s = spec.increments(ctx, grid_tail, None, 0, mode)
     var = np.cumsum(np.concatenate(([0.0], np.broadcast_to(s, m))) ** 2)
     return np.sqrt(var[[mid, m]])
 
@@ -722,7 +761,10 @@ def iter_continuations(
 
 def chunk_threads(workers: int, reps: int) -> int:
     """Threads `map_continuations` runs: the request capped at the usable
-    CPUs and the number of chunks."""
+    CPUs and the number of chunks. BadParams unless reps and workers are
+    at least 1."""
+    if reps < 1:
+        raise BadParams("reps must be >= 1")
     if workers < 1:
         raise BadParams(f"workers must be >= 1, got {workers}")
     return min(workers, core.usable_cpus(), -(-reps // BLOCK))

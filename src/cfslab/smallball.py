@@ -35,11 +35,13 @@ from .models import (  # the REASON_ constants are re-exported
     ModelSpec,
     cell_noise_scale,
     check_context,
+    chunk_threads,
     map_continuations,
 )
 
 _THIN_STREAM = 101  # child index for excursion-thinning uniforms
 _TILE_ROWS = 32  # rows per deviation tile
+_UFUNC_BUFSIZE = 256  # elements per ufunc buffer in the deviation pass
 # the counter's screen reads every 16th node, counted back from the last
 _SCREEN_STRIDE = 16
 
@@ -133,10 +135,7 @@ def estimate_many(
     preserves monotonicity of the hit set in eps. The uniforms of block b
     are rng.child(b).child(101).generator().random((rows, groups)).
     """
-    if reps < 1:
-        raise BadParams("reps must be >= 1")
-    if workers < 1:
-        raise BadParams(f"workers must be >= 1, got {workers}")
+    chunk_threads(workers, reps)  # BadParams for reps or workers below 1
     if not queries:
         return []
     t_indices = {q.t_index for q in queries}
@@ -176,27 +175,35 @@ def estimate_many(
             # the group's widest radius hits no query of the group, so it
             # keeps the bound and skips the full pass (a NaN bound reaches
             # no radius, so its row takes the full pass).
+            # A small ufunc buffer keeps numpy from copying a tile's operands
+            # through its default 8192-element buffers; the values are the
+            # same, and the setting is this thread's own.
             rel = block
             buf = np.empty((_TILE_ROWS, grid_tail.n_nodes))
             sbuf = np.empty((_TILE_ROWS, screen_targets.shape[1]))
             dev = np.empty((len(groups), rel.shape[0]))
-            for lo in range(0, rel.shape[0], _TILE_ROWS):
-                tile = rel[lo : lo + _TILE_ROWS]
-                tile -= tile[:, :1].copy()
-                sub = tile[:, nodes]
-                bound = sbuf[: len(tile)]
-                for gi in range(len(groups)):
-                    d = dev[gi, lo : lo + len(tile)]
-                    np.subtract(sub, screen_targets[gi], out=bound)
-                    np.abs(bound, out=bound)
-                    bound.max(axis=1, out=d)
-                    todo = np.flatnonzero(~(d >= widest[gi]))
-                    if len(todo):
-                        rows = tile if len(todo) == len(tile) else tile[todo]
-                        out = buf[: len(todo)]
-                        np.subtract(rows, targets[first[gi]], out=out)
-                        np.abs(out, out=out)
-                        d[todo] = out.max(axis=1)
+            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                for lo in range(0, rel.shape[0], _TILE_ROWS):
+                    tile = rel[lo : lo + _TILE_ROWS]
+                    tile -= tile[:, :1].copy()
+                    sub = tile[:, nodes]
+                    bound = sbuf[: len(tile)]
+                    for gi in range(len(groups)):
+                        d = dev[gi, lo : lo + len(tile)]
+                        np.subtract(sub, screen_targets[gi], out=bound)
+                        np.abs(bound, out=bound)
+                        bound.max(axis=1, out=d)
+                        todo = np.flatnonzero(~(d >= widest[gi]))
+                        if len(todo):
+                            rows = (tile if len(todo) == len(tile)
+                                    else tile[todo])
+                            out = buf[: len(todo)]
+                            np.subtract(rows, targets[first[gi]], out=out)
+                            np.abs(out, out=out)
+                            d[todo] = out.max(axis=1)
+            finally:
+                np.setbufsize(bufsize)
             chunk_hits = np.zeros(len(live), dtype=np.int64)
             if s2 is None:
                 for row, gi in enumerate(group_of):

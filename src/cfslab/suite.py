@@ -250,8 +250,38 @@ def _run_cell(spec: ModelSpec, t_frac: float, template: BatteryTemplate,
 _CELLS: list[tuple] = []
 
 
-def _cell_rows(i: int) -> list[BatteryRow]:
-    return _run_cell(*_CELLS[i])
+def _cell_rows(i: int) -> tuple[list[BatteryRow], float]:
+    """Cell i's rows and the seconds it took."""
+    t0 = time.perf_counter()
+    rows = _run_cell(*_CELLS[i])
+    return rows, time.perf_counter() - t0
+
+
+def _dispatch(pool, n_procs: int, n_fracs: int) -> list[list[BatteryRow]]:
+    """Every cell's rows, by cell index, run on `pool` with `n_procs`
+    cells in flight; a free worker takes the pending cell that comes
+    first by the rule of `run_battery`."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    tails = [t.n_steps - restart_node(f, t.n_steps) for _, f, t, *_ in _CELLS]
+    rate: dict[int, float] = {}  # model -> seconds per tail step
+    results, pending, running = [None] * len(_CELLS), list(range(len(_CELLS))), {}
+
+    def rank(i: int) -> tuple:
+        model = i // n_fracs
+        return (model in rate, -rate.get(model, 1.0) * tails[i])
+
+    while pending or running:
+        while pending and len(running) < n_procs:
+            i = min(pending, key=rank)  # the first of equals: report order
+            pending.remove(i)
+            running[pool.submit(_cell_rows, i)] = i
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in sorted(done, key=running.get):
+            i = running.pop(future)
+            results[i], seconds = future.result()
+            rate.setdefault(i // n_fracs, seconds / tails[i])
+    return results
 
 
 def run_battery(
@@ -266,6 +296,14 @@ def run_battery(
     Output is deterministic given (models, template, reps, seed): every
     replication derives its stream from the cell and replication indices,
     so the worker count never changes a single byte of the report.
+
+    With one process, the cells run in report order. With more, each
+    free worker takes the costliest pending cell: first the cells of a
+    model with no finished cell, the longest tail (n_steps minus the
+    restart node) first, then every other cell by its expected cost, the
+    seconds per tail step of its model's first finished cell times its
+    own tail; equals go in report order. The rows return by cell, in
+    report order.
     """
     global _CELLS
     if not models:
@@ -295,9 +333,9 @@ def run_battery(
             # leaving the block joins every worker, on error too
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(n_procs, mp_context=fork) as pool:
-                results = list(pool.map(_cell_rows, range(n_cells)))
+                results = _dispatch(pool, n_procs, n_fracs)
         else:
-            results = list(map(_cell_rows, range(n_cells)))
+            results = [_cell_rows(i)[0] for i in range(n_cells)]
     finally:
         _CELLS = []
     rows = tuple(row for cell_rows in results for row in cell_rows)

@@ -73,6 +73,9 @@ class TestSmallballCommand:
                      "node in [0, n_steps = 128)", id="t_frac-last-node"),
         pytest.param("--epsilon", "0", "epsilon must be positive, got 0.0",
                      id="epsilon-zero"),
+        pytest.param("--reps", "0", "reps must be >= 1", id="reps-zero"),
+        pytest.param("--workers", "0", "workers must be >= 1, got 0",
+                     id="workers-zero"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, capsys, monkeypatch,
                                      flag, value, message):

@@ -1,5 +1,6 @@
 """Simulation, conditional continuation, and support validation."""
 import dataclasses
+import inspect
 import pickle
 import tracemalloc
 import weakref
@@ -14,7 +15,7 @@ from oracles import (
     vol_log_price,
 )
 
-from cfslab import gaussian, jumps
+from cfslab import gaussian, jumps, models
 from cfslab.catalog import DEFAULT_BATTERY, get_preset, preset_names
 from cfslab.core import (
     BLOCK,
@@ -542,6 +543,17 @@ class TestExactSpread:
         assert exact_spread(spec, ctx, tail) is None
 
     @pytest.mark.parametrize("t_index", [0, 128])
+    def test_redraw_heston_draws_no_variance_path(self, t_index, monkeypatch):
+        # its law is per replication, so None comes without a zero-row read
+        spec, ctx, tail = self._cell(self.PILOTED["heston-redraw"], t_index, 8)
+
+        def no_redraw(*args):
+            raise AssertionError("Heston._redraw ran")
+
+        monkeypatch.setattr(Heston, "_redraw", no_redraw)
+        assert exact_spread(spec, ctx, tail) is None
+
+    @pytest.mark.parametrize("t_index", [0, 128])
     def test_brownian_is_sqrt_time(self, t_index):
         # both nodes: the middle one (n_steps // 2) and the end
         spec, ctx, tail = self._cell(self.EXACT["brownian"], t_index, 9)
@@ -549,6 +561,33 @@ class TestExactSpread:
         assert np.allclose(exact_spread(spec, ctx, tail),
                            np.sqrt(np.array([m // 2, m]) * tail.dt),
                            rtol=1e-14, atol=0.0)
+
+
+class TestSteps:
+    """Heston's variance step and the SDE's Euler step are each written
+    once: a history runs the step on one row, a chunk on all its rows."""
+
+    @pytest.mark.parametrize("family, name, attr", [
+        (Heston, "heston", "_cir_step"), (SdePrice, "sde", "euler_step")])
+    def test_history_and_chunk_run_the_one_step(self, family, name, attr,
+                                                monkeypatch):
+        real, rows = getattr(family, attr), []
+
+        def spy(self, dt, n):
+            rows.append(n)
+            return real(self, dt, n)
+
+        monkeypatch.setattr(family, attr, spy)
+        spec = get_preset(name)  # heston: REDRAW
+        _, ctx = simulate(spec, GRID, RngStream(34, 0), MID)
+        continue_chunk(spec, ctx, tail_grid(GRID, MID), Block(RngStream(34, 1), 5))
+        assert rows == [1, 5]
+
+    def test_no_second_copy_in_the_source(self):
+        source = inspect.getsource(models)
+        assert source.count("c.kappa * dt") == 1  # in `Heston._cir_step`
+        for call in ("self.mu_fn(t, p)", "self.sigma_fn(t, p)"):
+            assert source.count(call) == 1  # in `SdePrice.euler_step`
 
 
 class TestValidateSpec:

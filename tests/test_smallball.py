@@ -306,6 +306,39 @@ class TestScreen:
 
 
 @pytest.mark.usefixtures("two_cpus")
+class TestUfuncBuffer:
+    """The counter's deviation pass changes numpy's ufunc buffer size only
+    while it runs: the calling thread keeps its own."""
+
+    @pytest.fixture
+    def bufsize(self):
+        old = np.setbufsize(4096)  # not the default, so a reset would show
+        yield 4096
+        np.setbufsize(old)
+
+    def _estimate(self, workers):
+        spec, ctx = _ctx("brownian")
+        query = SmallBallQuery(0, constant_path(GRID, 0.0), 1.0)
+        return estimate_many(spec, ctx, [query], 2100, RngStream(41, 1),
+                             workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_keeps_its_buffer_size(self, bufsize, workers):
+        assert self._estimate(workers)[0].hits > 0
+        assert np.getbufsize() == bufsize
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_when_a_chunk_raises(self, bufsize, workers, monkeypatch):
+        # paths one node short fail inside the deviation pass
+        monkeypatch.setattr(
+            models, "continue_chunk", lambda spec, ctx, grid_tail, block:
+            np.zeros((len(block), GRID.n_nodes - 1)))
+        with pytest.raises(ValueError):
+            self._estimate(workers)
+        assert np.getbufsize() == bufsize
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestThreadedChunks:
     """Chunks on two threads give the estimates of one thread."""
 

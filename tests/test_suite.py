@@ -3,6 +3,8 @@ import collections
 import json
 import multiprocessing
 import os
+import time
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +19,14 @@ from cfslab.core import (
     Classification,
     CovarianceNotPD,
     EmptyBattery,
+    make_estimate,
     make_grid,
     usable_cpus,
 )
 from cfslab.models import MixedFbm, ModelSpec, WienerIntegral, chunk_threads
 from cfslab.suite import (
     CSV_HEADER,
+    BatteryRow,
     BatteryTemplate,
     ReportFormat,
     TargetStyle,
@@ -220,6 +224,39 @@ class TestProcessPool:
         assert multiprocessing.active_children() == []
         a, b = (render_report(r, ReportFormat.CSV) for r in reports)
         assert a == b
+
+    def test_costliest_pending_cell_goes_first(self, monkeypatch):
+        # fake cells that sleep a known time per tail step of their model:
+        # at restart 0, a takes 0.6 s, b 0.1 s and c 0.25 s, half that at
+        # 1/2; the pool logs the order in which cells are submitted
+        per_step = {"a": 0.6 / 256, "b": 0.1 / 256, "c": 0.25 / 256}
+        submitted = []
+
+        def fake_cell(spec, t_frac, template, reps, rng):
+            tail = template.n_steps - suite.restart_node(t_frac, template.n_steps)
+            time.sleep(per_step[spec.name] * tail)
+            return [BatteryRow(spec.name, t_frac, "flat", 1.0, 1.0,
+                               make_estimate(1, reps))]
+
+        class LoggingPool(futures.ProcessPoolExecutor):
+            def submit(self, fn, i):
+                submitted.append(i)
+                return super().submit(fn, i)
+
+        monkeypatch.setattr(suite, "_run_cell", fake_cell)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", LoggingPool)
+        rep = run_battery([MixedFbm(name=n) for n in "abc"], SMALL, 1000, 8,
+                          workers=2)
+        # a@0 and b@0 start; b@0 ends at 0.1 s, and c@0 has the longest
+        # tail of the models with no finished cell; c@0 ends at 0.35 s,
+        # when a still has none; a@0 ends at 0.6 s, and then c@1/2 (0.125 s
+        # expected) goes before b@1/2 (0.05 s)
+        cells = [(n, f) for n in "abc" for f in (0.0, 0.5)]
+        assert [cells[i] for i in submitted] == [
+            ("a", 0.0), ("b", 0.0), ("c", 0.0), ("a", 0.5), ("c", 0.5),
+            ("b", 0.5)]
+        assert [(r.model, r.t_frac) for r in rep.rows] == cells
+        assert multiprocessing.active_children() == []
 
     def test_workers_capped_at_cells(self):
         rep = run_battery([get_preset("brownian")],
